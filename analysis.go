@@ -42,41 +42,47 @@ func skylineOver(tree index.ObjectIndex, tok cancel.Token, c *stats.Counters) ([
 	return out, nil
 }
 
-// topkOver runs ranked search for a validated preference over an
+// topkOver runs k-bounded ranked search for a validated preference over an
 // already-built index, labelling results with the query ID. The token is
-// armed on the pooled searcher, so a canceled request stops within about
-// one node expansion.
+// armed on the pooled engine, so a canceled request stops within about one
+// node expansion. The returned slice is the only allocation.
 func topkOver(tree index.ObjectIndex, qid int, p prefs.Preference, k int, tok cancel.Token, c *stats.Counters) ([]Assignment, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	s := topk.AcquireSearcher(tree, p, c)
-	defer s.Release()
-	s.SetCancel(tok)
-	out := make([]Assignment, 0, k)
-	for len(out) < k {
-		r, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, Assignment{QueryID: qid, ObjectID: int(r.ID), Score: r.Score})
+	b := topk.AcquireTopK(tree, p, k, c)
+	defer b.Release()
+	b.SetCancel(tok)
+	if err := b.Run(); err != nil {
+		return nil, err
+	}
+	out := make([]Assignment, b.Len(0))
+	for i := len(out) - 1; i >= 0; i-- {
+		r := b.Pop(0)
+		out[i] = Assignment{QueryID: qid, ObjectID: int(r.ID), Score: r.Score}
 	}
 	return out, nil
 }
 
-// linearPref validates a linear query against dimensionality d.
+// checkLinear validates a linear query against dimensionality d without
+// building its function; it allocates only on error.
+func checkLinear(query Query, d int) error {
+	if _, err := prefs.CheckWeights(query.Weights); err != nil {
+		return fmt.Errorf("prefmatch: query %d: %w", query.ID, err)
+	}
+	if len(query.Weights) != d {
+		return fmt.Errorf("prefmatch: query %d has %d weights, want %d", query.ID, len(query.Weights), d)
+	}
+	return nil
+}
+
+// linearPref validates a linear query against dimensionality d and builds
+// its normalised function.
 func linearPref(query Query, d int) (prefs.Function, error) {
-	f, err := prefs.NewFunction(query.ID, query.Weights)
-	if err != nil {
-		return prefs.Function{}, fmt.Errorf("prefmatch: query %d: %w", query.ID, err)
+	if err := checkLinear(query, d); err != nil {
+		return prefs.Function{}, err
 	}
-	if f.Dim() != d {
-		return prefs.Function{}, fmt.Errorf("prefmatch: query %d has %d weights, want %d", query.ID, f.Dim(), d)
-	}
-	return f, nil
+	return prefs.NewFunction(query.ID, query.Weights)
 }
 
 // Skyline returns the IDs of the objects not dominated by any other object:

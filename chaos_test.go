@@ -158,6 +158,107 @@ func TestChaosDeadlineOnSlowShard(t *testing.T) {
 	}
 }
 
+// The slow-shard deadline contract must not depend on tree height: over
+// single-leaf shards one slow read is the whole shard search, over
+// multi-level shards the deadline passes between reads. Both must come
+// back with ErrDeadlineExceeded.
+func TestChaosDeadlineOnSlowShardTreeShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n, shards int
+		multi     bool // the slow shard's search reads more than one node
+	}{
+		{"single-leaf", 200, 8, false},
+		{"multi-level", 8000, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, fixs := newFaultyShardedServer(t, tc.n, tc.shards, nil)
+			slow := searchedShard(t, srv, fixs, chaosQuery(1), 10)
+			if reads := fixs[slow].Calls(faulty.SiteRefill); (reads > 1) != tc.multi {
+				t.Fatalf("the slow shard's search read %d nodes; want multi-level=%v", reads, tc.multi)
+			}
+			fixs[slow].Inject(faulty.SiteRefill, faulty.Fault{Latency: 200 * time.Millisecond})
+
+			ctx, cancelFn := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancelFn()
+			start := time.Now()
+			_, err := srv.TopKContext(ctx, chaosQuery(1), 10)
+			if !errors.Is(err, ErrDeadlineExceeded) {
+				t.Fatalf("TopKContext over slow shard: err = %v, want ErrDeadlineExceeded", err)
+			}
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("deadline took %v to surface", elapsed)
+			}
+			fixs[slow].Clear(faulty.SiteRefill)
+			if _, err := srv.TopK(chaosQuery(2), 5); err != nil {
+				t.Fatalf("TopK after canceled fan-out: %v", err)
+			}
+		})
+	}
+}
+
+// A deadline that passes during a request's last node read — every read
+// before it fast, the last one starting inside the deadline and finishing
+// outside it — must still fail the request with ErrDeadlineExceeded, on
+// every read path of an unsharded server.
+func TestChaosDeadlineDuringLastRead(t *testing.T) {
+	srv, fix := newFaultyServer(t, 2000, &Options{ResultCacheEntries: -1})
+	qs := []Query{chaosQuery(1), {ID: 2, Weights: []float64{0.2, 0.8}}}
+	paths := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"TopK", func(ctx context.Context) error {
+			_, err := srv.TopKContext(ctx, qs[0], 10)
+			return err
+		}},
+		{"TopKMany", func(ctx context.Context) error {
+			_, err := srv.TopKManyContext(ctx, qs, 10, 1)
+			return err
+		}},
+		{"TopKManyAppend", func(ctx context.Context) error {
+			_, _, err := srv.TopKManyAppendContext(ctx, nil, nil, qs, 10)
+			return err
+		}},
+		{"Session", func(ctx context.Context) error {
+			// A fresh session with the cache off walks on its first call.
+			sess, err := srv.OpenSession(qs[1])
+			if err != nil {
+				return err
+			}
+			defer sess.Close()
+			_, err = sess.TopKContext(ctx, 10)
+			return err
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			before := fix.Calls(faulty.SiteRefill)
+			if err := p.run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			reads := fix.Calls(faulty.SiteRefill) - before
+			if reads < 2 {
+				t.Fatalf("the request read %d nodes; the test needs a multi-read traversal", reads)
+			}
+			fix.Inject(faulty.SiteRefill, faulty.Fault{
+				Latency: 150 * time.Millisecond,
+				After:   fix.Calls(faulty.SiteRefill) + reads - 1,
+			})
+			defer fix.Clear(faulty.SiteRefill)
+			ctx, cancelFn := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancelFn()
+			err := p.run(ctx)
+			if fix.Fired(faulty.SiteRefill) == 0 {
+				t.Fatal("the slow last read never happened")
+			}
+			if !errors.Is(err, ErrDeadlineExceeded) {
+				t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+			}
+		})
+	}
+}
+
 // A deadline firing mid-traversal on the unsharded wave loop must surface
 // as ErrDeadlineExceeded through Match as well.
 func TestChaosDeadlineMidWave(t *testing.T) {

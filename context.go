@@ -9,14 +9,17 @@ import (
 // This file is the context-accepting face of the Server: every serving and
 // write method has a *Context variant that honours ctx's deadline and
 // cancellation cooperatively. The token distilled from ctx is checked at
-// admission, at every fan-out worker start, and immediately before every
-// node read inside traversal — so an abandoned request stops within about
-// one node expansion without leaking its pooled searcher or snapshot.
+// admission, at every fan-out worker start, and around every node read
+// inside traversal — so an abandoned request stops within about one node
+// expansion without leaking its pooled searcher or snapshot — and once more
+// before a read request hands its result back, so a request whose deadline
+// passes before it returns reports ErrDeadlineExceeded.
 //
 // Abandoned requests fail with an error that unwraps to ErrCanceled or
 // ErrDeadlineExceeded (matching ctx.Err()) and whose message names the
 // stage that observed the abandonment ("admission", "shard.fanout",
-// "topk.traverse", "wave.next", "skyline.compute", "write.apply").
+// "topk.traverse", "wave.next", "skyline.compute", "write.apply",
+// "request.return").
 //
 // The non-context methods are exactly these with a context that never
 // fires; a context.Background() ctx costs nothing on the hot path.

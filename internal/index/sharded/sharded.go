@@ -21,11 +21,12 @@
 // shard count and any partitioner (enforced by the cross-shard equivalence
 // tests).
 //
-// Beyond the plain ObjectIndex surface, the composite offers SearchTopK: a
-// ranked fan-out that searches the shards concurrently — one read-only
-// snapshot per shard — merges the per-shard streams through a score-ordered
-// heap, and skips shards whose MBR upper bound cannot beat the current k-th
-// result (counted in stats.Counters.ShardsPruned).
+// Beyond the plain ObjectIndex surface, the composite offers SearchTopK and
+// SearchTopKBatch: a ranked fan-out that searches the shards concurrently —
+// one read-only snapshot and one k-bounded topk.BatchSearcher walk per
+// shard — merges the per-shard top-k lists through score-ordered heaps, and
+// skips shards whose MBR upper bound cannot beat the current k-th result
+// (counted in stats.Counters.ShardsPruned).
 //
 // # Concurrency
 //
@@ -991,24 +992,6 @@ func (s *snapshot) Validate() error {
 // always the current k-th best (the pruning threshold).
 func worseFirst(a, b topk.Result) bool { return topk.Better(b, a) }
 
-// mergePool recycles merge heaps across SearchTopK calls — each request used
-// to allocate a fresh closure heap, which the serving path's zero-allocation
-// budget cannot afford.
-var mergePool = sync.Pool{New: func() any {
-	q := &pqueue.Queue[topk.Result]{}
-	q.Init(worseFirst)
-	return q
-}}
-
-func acquireMergeHeap() *pqueue.Queue[topk.Result] {
-	return mergePool.Get().(*pqueue.Queue[topk.Result])
-}
-
-func releaseMergeHeap(q *pqueue.Queue[topk.Result]) {
-	q.Reset() // drop result references so the pool cannot pin an arena
-	mergePool.Put(q)
-}
-
 // SearchTopK returns the k best objects for pref, best first, by fanning
 // ranked search across the shards and merging through a score-ordered heap.
 // Each shard is searched on its own read-only snapshot with its own counter
@@ -1019,131 +1002,25 @@ func releaseMergeHeap(q *pqueue.Queue[topk.Result]) {
 //
 // Shards are claimed in descending order of the preference's upper bound
 // over their MBR; a shard whose bound cannot beat the current k-th result
-// is skipped entirely (counted in c.ShardsPruned), and a shard search stops
-// as soon as its next result cannot beat the current k-th. Both cuts are
-// exact: the result is always the same as searching one combined index.
+// is skipped entirely (counted in c.ShardsPruned), and a shard search is
+// floored at the current k-th score, so it reads no node that cannot beat
+// it. Both cuts are exact: the result is always the same as searching one
+// combined index. SearchTopK is SearchTopKBatch with a batch of one.
 func (ix *Index) SearchTopK(pref prefs.Preference, k, workers int, c *stats.Counters) ([]topk.Result, error) {
 	return ix.SearchTopKCancel(pref, k, workers, cancel.Token{}, c)
 }
 
-// SearchTopKCancel is SearchTopK with a cooperative cancellation token:
-// every shard worker checks it before claiming a shard and arms its
-// pooled searcher with it, so one observed deadline aborts the whole
-// fan-out — including shards still traversing — with the token's
-// stage-tagged error.
+// SearchTopKCancel is SearchTopK with a cooperative cancellation token,
+// threaded exactly like SearchTopKBatchCancel.
 func (ix *Index) SearchTopKCancel(pref prefs.Preference, k, workers int, tok cancel.Token, c *stats.Counters) ([]topk.Result, error) {
-	if c == nil {
-		c = ix.c
-	}
 	if k <= 0 {
 		return nil, nil
 	}
-	if !ix.canSnap {
-		return nil, ix.errNoSnapshots("ranked fan-out")
-	}
-
-	entries := ix.rootEntries()
-	type job struct {
-		shard int
-		bound float64
-	}
-	jobs := make([]job, len(entries))
-	for i, e := range entries {
-		jobs[i] = job{shard: e.shard, bound: pref.UpperBound(e.rect)}
-	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].bound != jobs[j].bound {
-			return jobs[i].bound > jobs[j].bound
-		}
-		return jobs[i].shard < jobs[j].shard
-	})
-
-	var (
-		mu  sync.Mutex
-		acc = acquireMergeHeap() // Pop/Peek = current worst
-	)
-	defer releaseMergeHeap(acc)
-	sinks := make([]*stats.Counters, len(jobs))
-	runShard := func(j int) error {
-		if err := tok.Check("shard.fanout"); err != nil {
-			return err
-		}
-		sink := &stats.Counters{}
-		sinks[j] = sink
-		// Whole-shard MBR pruning: with k results on the heap already, a
-		// shard whose bound is below the k-th score holds no winner. A
-		// bound *equal* to the k-th score must still be searched — an
-		// equal-score object can win on the sum/ID tie-break.
-		mu.Lock()
-		full := acc.Len() == k
-		var worst topk.Result
-		if full {
-			worst, _ = acc.Peek()
-		}
-		mu.Unlock()
-		if full && jobs[j].bound < worst.Score {
-			sink.ShardsPruned++
-			ix.loads[jobs[j].shard].pruned.Add(1)
-			return nil
-		}
-		load := &ix.loads[jobs[j].shard]
-		load.queries.Add(1)
-		searchStart := time.Now()
-		defer func() { load.nanos.Add(int64(time.Since(searchStart))) }()
-		snap := ix.shards[jobs[j].shard].(index.Snapshotter).Snapshot()
-		snap.SetCounters(sink)
-		search := topk.AcquireSearcher(snap, pref, sink)
-		search.SetCancel(tok)
-		defer search.Release()
-		// A shard contributes at most its own k best: its stream is exactly
-		// descending, so result k+1 cannot displace anything its first k
-		// could not.
-		for taken := 0; taken < k; taken++ {
-			r, ok, err := search.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			mu.Lock()
-			if acc.Len() < k {
-				acc.Push(r)
-			} else {
-				worst, _ := acc.Peek()
-				if !topk.Better(r, worst) {
-					// The stream is descending, so no later result of this
-					// shard can beat the (only improving) k-th either.
-					mu.Unlock()
-					return nil
-				}
-				acc.Pop()
-				acc.Push(r)
-			}
-			mu.Unlock()
-		}
-		return nil
-	}
-
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	err := fanIndexed(len(jobs), workers, runShard)
-
-	for _, sink := range sinks {
-		if sink != nil {
-			c.Add(sink)
-		}
-	}
+	out, err := ix.SearchTopKBatchCancel([]prefs.Preference{pref}, k, workers, tok, c)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]topk.Result, acc.Len())
-	for i := acc.Len() - 1; i >= 0; i-- {
-		r, _ := acc.Pop()
-		out[i] = r
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // SearchTopKBatch answers one ranked top-k query per preference in fns with
@@ -1151,24 +1028,30 @@ func (ix *Index) SearchTopKCancel(pref prefs.Preference, k, workers int, tok can
 // walked once by a shared-traversal topk.BatchSearcher serving every
 // function still interested in it, instead of once per function. Results are
 // merged per function through worst-first heaps, so out[f] is bit-identical
-// to SearchTopK(fns[f], k, ...) — same objects, same order.
+// to ranked search for fns[f] over one combined index — same objects, same
+// order.
 //
 // Pruning is per (shard, function): a function with k results already whose
 // k-th beats the shard's upper bound is dropped from that shard's batch
 // (equal bounds are kept — an equal-score object can win the sum/ID
-// tie-break), and a shard no function cares about is skipped entirely
-// (counted in c.ShardsPruned). Shards are visited in descending order of
-// their best bound across the batch so the heaps fill with strong results
-// early. Under workers > 1 the visit order — and therefore the pruning
-// opportunities and counter totals — is nondeterministic, but the returned
-// results are always exact.
+// tie-break), a function kept in the batch is floored at its current k-th
+// score (topk.BatchSearcher.SetFloor), and a shard no function cares about
+// is skipped entirely (counted in c.ShardsPruned). Shards are visited in
+// descending order of their best bound across the batch so the heaps fill
+// with strong results early; the first shard is walked alone, before the
+// others fan out across workers, so its results seed every later pruning
+// decision. Under workers > 1 the visit order of the remaining shards — and
+// therefore their pruning opportunities and counter totals — is
+// nondeterministic, but the returned results are always exact.
 func (ix *Index) SearchTopKBatch(fns []prefs.Preference, k, workers int, c *stats.Counters) ([][]topk.Result, error) {
 	return ix.SearchTopKBatchCancel(fns, k, workers, cancel.Token{}, c)
 }
 
 // SearchTopKBatchCancel is SearchTopKBatch with a cooperative
-// cancellation token, threaded into every per-shard batch searcher
-// exactly like SearchTopKCancel.
+// cancellation token: every shard worker checks it before claiming a shard
+// and arms its pooled batch searcher with it, so one observed deadline
+// aborts the whole fan-out — including shards still traversing — with the
+// token's stage-tagged error.
 func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, tok cancel.Token, c *stats.Counters) ([][]topk.Result, error) {
 	if c == nil {
 		c = ix.c
@@ -1185,14 +1068,16 @@ func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, t
 	}
 
 	entries := ix.rootEntries()
+	q := len(fns)
 	type job struct {
 		shard  int
 		best   float64   // max bound across the batch, for visit order
 		bounds []float64 // per-function upper bound over the shard MBR
 	}
 	jobs := make([]job, len(entries))
+	bounds := make([]float64, len(entries)*q)
 	for i, e := range entries {
-		b := make([]float64, len(fns))
+		b := bounds[i*q : i*q+q : i*q+q]
 		best := math.Inf(-1)
 		for f, p := range fns {
 			b[f] = p.UpperBound(e.rect)
@@ -1217,29 +1102,40 @@ func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, t
 		heaps[f].Init(worseFirst)
 	}
 
+	// Each shard's batch inputs live in its own row of these job-major
+	// slabs, so concurrent shard workers never share or grow a slice.
 	sinks := make([]*stats.Counters, len(jobs))
+	subs := make([]prefs.Preference, len(jobs)*q)
+	subIdxs := make([]int, len(jobs)*q)
+	floorss := make([]float64, len(jobs)*q)
+	kss := make([]int, len(jobs)*q)
 	runShard := func(j int) error {
 		if err := tok.Check("shard.fanout"); err != nil {
 			return err
 		}
 		sink := &stats.Counters{}
 		sinks[j] = sink
-		// Per-function shard pruning under the same rule as SearchTopK's
-		// whole-shard cut: full heap + bound strictly below the k-th score
-		// means this shard holds nothing for that function.
-		var (
-			sub    []prefs.Preference
-			subIdx []int
-		)
+		// Per-function shard pruning: full heap + bound strictly below the
+		// k-th score means this shard holds nothing for that function.
+		// Otherwise the k-th score floors the function's shard walk: only
+		// objects scoring at least as well can still enter its heap.
+		row := j * q
+		sub := subs[row : row : row+q]
+		subIdx := subIdxs[row : row : row+q]
+		floors := floorss[row : row : row+q]
 		mu.Lock()
 		for f, p := range fns {
+			floor := math.Inf(-1)
 			if heaps[f].Len() == k {
-				if worst, _ := heaps[f].Peek(); jobs[j].bounds[f] < worst.Score {
+				worst, _ := heaps[f].Peek()
+				if jobs[j].bounds[f] < worst.Score {
 					continue
 				}
+				floor = worst.Score
 			}
 			sub = append(sub, p)
 			subIdx = append(subIdx, f)
+			floors = append(floors, floor)
 		}
 		mu.Unlock()
 		if len(sub) == 0 {
@@ -1251,7 +1147,7 @@ func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, t
 		load.queries.Add(1)
 		searchStart := time.Now()
 		defer func() { load.nanos.Add(int64(time.Since(searchStart))) }()
-		ks := make([]int, len(sub))
+		ks := kss[row : row+len(sub)]
 		for i := range ks {
 			ks[i] = k
 		}
@@ -1259,29 +1155,27 @@ func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, t
 		snap.SetCounters(sink)
 		b := topk.AcquireBatchSearcher(snap, sub, ks, sink)
 		b.SetCancel(tok)
+		for pos, floor := range floors {
+			b.SetFloor(pos, floor)
+		}
 		defer b.Release()
 		if err := b.Run(); err != nil {
 			return err
 		}
-		// Merge each function's shard-local top-k; the batch searcher
-		// already capped every contribution at k, best first.
-		var buf []topk.Result
+		// Merge each function's shard-local top-k (at most k results,
+		// popped worst first) into its global heap.
 		for pos, f := range subIdx {
-			buf = b.AppendResults(pos, buf[:0])
 			mu.Lock()
-			for _, r := range buf {
+			for n := b.Len(pos); n > 0; n-- {
+				r := b.Pop(pos)
 				if heaps[f].Len() < k {
 					heaps[f].Push(r)
 					continue
 				}
-				worst, _ := heaps[f].Peek()
-				if !topk.Better(r, worst) {
-					// Contributions arrive best first, so nothing later
-					// from this shard can displace the k-th either.
-					break
+				if worst, _ := heaps[f].Peek(); topk.Better(r, worst) {
+					heaps[f].Pop()
+					heaps[f].Push(r)
 				}
-				heaps[f].Pop()
-				heaps[f].Push(r)
 			}
 			mu.Unlock()
 		}
@@ -1291,7 +1185,18 @@ func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, t
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	err := fanIndexed(len(jobs), workers, runShard)
+	// The most promising shard runs alone first. A shard walk publishes its
+	// results only when it completes, so its results seed the merge heaps
+	// before any other shard is claimed: every later shard is pruned or
+	// floored against a near-final k-th score, and whether it is read no
+	// longer depends on which concurrent walk happens to finish first.
+	var err error
+	if len(jobs) > 0 {
+		err = fanIndexed(1, 1, runShard)
+	}
+	if err == nil && len(jobs) > 1 {
+		err = fanIndexed(len(jobs)-1, workers, func(j int) error { return runShard(j + 1) })
+	}
 
 	for _, sink := range sinks {
 		if sink != nil {

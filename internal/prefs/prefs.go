@@ -65,30 +65,34 @@ var (
 	ErrBadWeight = errors.New("prefs: NaN or infinite weight")
 )
 
-// NewFunction builds a linear preference function from raw non-negative
-// weights, normalising them to sum to exactly 1 (within float rounding).
-func NewFunction(id int, weights []float64) (Function, error) {
+// CheckWeights validates raw weights the way NewFunction does — non-empty,
+// finite, non-negative, not all zero — without building a function, and
+// returns the sum NewFunction normalises by. It allocates only on error.
+func CheckWeights(weights []float64) (float64, error) {
 	if len(weights) == 0 {
-		return Function{}, ErrNoWeights
+		return 0, ErrNoWeights
 	}
 	sum := 0.0
 	for _, w := range weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return Function{}, fmt.Errorf("%w: %v", ErrBadWeight, w)
+			return 0, fmt.Errorf("%w: %v", ErrBadWeight, w)
 		}
 		if w < 0 {
-			return Function{}, fmt.Errorf("%w: %v", ErrNegativeWeight, w)
+			return 0, fmt.Errorf("%w: %v", ErrNegativeWeight, w)
 		}
 		sum += w
 	}
 	if sum == 0 {
-		return Function{}, ErrZeroWeights
+		return 0, ErrZeroWeights
 	}
-	norm := make(vec.Point, len(weights))
-	for i, w := range weights {
-		norm[i] = w / sum
-	}
-	return Function{ID: id, Weights: norm}, nil
+	return sum, nil
+}
+
+// NewFunction builds a linear preference function from raw non-negative
+// weights, normalising them to sum to exactly 1 (within float rounding).
+func NewFunction(id int, weights []float64) (Function, error) {
+	f, _, err := AppendFunction(make(vec.Point, 0, len(weights)), id, weights)
+	return f, err
 }
 
 // AppendFunction is the allocation-free form of NewFunction: the normalised
@@ -98,26 +102,12 @@ func NewFunction(id int, weights []float64) (Function, error) {
 // extended arena is returned; on error the arena is returned unchanged.
 // Callers must not let the arena be reused while a returned Function is live.
 func AppendFunction(arena vec.Point, id int, weights []float64) (Function, vec.Point, error) {
-	if len(weights) == 0 {
-		return Function{}, arena, ErrNoWeights
-	}
-	sum := 0.0
-	for _, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return Function{}, arena, fmt.Errorf("%w: %v", ErrBadWeight, w)
-		}
-		if w < 0 {
-			return Function{}, arena, fmt.Errorf("%w: %v", ErrNegativeWeight, w)
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return Function{}, arena, ErrZeroWeights
+	sum, err := CheckWeights(weights)
+	if err != nil {
+		return Function{}, arena, err
 	}
 	base := len(arena)
 	for _, w := range weights {
-		// Same normalisation expression as NewFunction, so the resulting
-		// weights — and every downstream score — are bit-identical.
 		arena = append(arena, w/sum)
 	}
 	return Function{ID: id, Weights: arena[base:len(arena):len(arena)]}, arena, nil

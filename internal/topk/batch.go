@@ -29,14 +29,20 @@
 // serving layer's chunk size — and degrade to "every active function" for
 // wider batches.
 //
-// Results are bit-identical to Q independent SearchAppend calls: the kernels
-// accumulate per (function, entry) in ascending coordinate order exactly like
-// vec.Dot, the total order of Better makes each top-k set unique, and
-// AppendResults drains each heap worst-first into the tail of the output so
-// the final order is descending, as SearchAppend emits.
+// A batch of one is the package's single-function top-k engine (AcquireTopK,
+// behind Search, SearchAppend and Top1): the k-bounded result heap rejects a
+// losing leaf object with one comparison, where the streaming Searcher pushes
+// every scored object through its frontier.
+//
+// Results are bit-identical to Q independent streaming searches drained k
+// deep: the kernels accumulate per (function, entry) in ascending coordinate
+// order exactly like vec.Dot, the total order of Better makes each top-k set
+// unique, and AppendResults drains each heap worst-first into the tail of the
+// output so the final order is descending, as Next emits.
 package topk
 
 import (
+	"math"
 	"sync"
 
 	"prefmatch/internal/cancel"
@@ -122,14 +128,15 @@ func siftDown(h []batchResult, i int) {
 }
 
 // BatchSearcher answers top-k for a batch of preference functions in one
-// shared best-first traversal. Like Searcher it is resettable and poolable:
-// Reset rebinds it to a (tree, functions, ks) triple keeping every backing
-// array, so a warmed searcher serves a steady stream of batches without
-// allocating. The search is only valid while the underlying tree is not
-// modified.
+// shared best-first traversal. It is resettable and poolable: Reset (or
+// ResetTopK for one function) rebinds it to a (tree, functions, ks) triple
+// keeping every backing array, so a warmed searcher serves a steady stream
+// of batches without allocating. The search is only valid while the
+// underlying tree is not modified.
 //
-// Usage: Reset (or AcquireBatchSearcher), optionally SetSkip, then Run once,
-// then AppendResults per function, then Release.
+// Usage: Reset or ResetTopK (or AcquireBatchSearcher / AcquireTopK),
+// optionally SetSkip, SetCancel and SetFloor, then Run once, then
+// AppendResults (or Len and Pop) per function, then Release.
 type BatchSearcher struct {
 	tree index.ObjectIndex
 	c    *stats.Counters
@@ -140,6 +147,8 @@ type BatchSearcher struct {
 	ks     []int
 	heaps  [][]batchResult // min-heaps: root is the current k-th best
 	active []bool
+
+	floors []float64 // per-function score floor (SetFloor); -Inf when unarmed
 
 	nActive   int
 	allLinear bool // every function linear with matching dimensionality
@@ -154,7 +163,6 @@ type BatchSearcher struct {
 
 	// Kernel output scratch, sized to the widest node seen.
 	scores []float64
-	sums   []float64
 
 	frontier pqueue.Queue[batchEntry]
 
@@ -178,18 +186,36 @@ func (b *BatchSearcher) Reset(t index.ObjectIndex, fns []prefs.Preference, ks []
 	if len(fns) != len(ks) {
 		panic("topk: batch functions and ks lengths differ")
 	}
+	b.fns = append(b.fns[:0], fns...)
+	b.ks = append(b.ks[:0], ks...)
+	b.start(t, c)
+}
+
+// ResetTopK is Reset for a batch of one: pref wants its k best objects. It
+// is the single-function form every known-k search takes (Search,
+// SearchAppend, Top1 and the serving layer's TopK and session walks), and
+// it builds no slice, so a warmed searcher stays allocation-free.
+func (b *BatchSearcher) ResetTopK(t index.ObjectIndex, pref prefs.Preference, k int, c *stats.Counters) {
+	b.fns = append(b.fns[:0], pref)
+	b.ks = append(b.ks[:0], k)
+	b.start(t, c)
+}
+
+// start binds the searcher to t for the functions and ks already loaded
+// into b.fns and b.ks, and seeds the frontier with the root.
+func (b *BatchSearcher) start(t index.ObjectIndex, c *stats.Counters) {
 	if c == nil {
 		c = t.Counters()
 	}
+	n := len(b.fns)
 	b.tree, b.c = t, c
 	b.d = t.Dim()
 	b.skip = nil
 	b.cancel = cancel.Token{}
-	b.fns = append(b.fns[:0], fns...)
-	b.ks = append(b.ks[:0], ks...)
 	b.lins = b.lins[:0]
+	b.floors = b.floors[:0]
 	b.allLinear = true
-	for _, p := range fns {
+	for _, p := range b.fns {
 		f, ok := prefs.Linear(p)
 		if !ok || f.Dim() != b.d {
 			// One odd function sends the whole batch down the generic path;
@@ -198,34 +224,35 @@ func (b *BatchSearcher) Reset(t index.ObjectIndex, fns []prefs.Preference, ks []
 			b.allLinear = false
 		}
 		b.lins = append(b.lins, f)
+		b.floors = append(b.floors, math.Inf(-1))
 	}
-	for len(b.heaps) < len(fns) {
+	for len(b.heaps) < n {
 		b.heaps = append(b.heaps, nil)
 	}
-	b.heaps = b.heaps[:len(fns)]
-	for len(b.active) < len(fns) {
+	b.heaps = b.heaps[:n]
+	for len(b.active) < n {
 		b.active = append(b.active, false)
 	}
-	b.active = b.active[:len(fns)]
+	b.active = b.active[:n]
 	b.nActive = 0
-	for i := range fns {
+	for i, k := range b.ks {
 		h := b.heaps[i]
 		clear(h[:cap(h)])
 		b.heaps[i] = h[:0]
-		b.active[i] = ks[i] > 0
+		b.active[i] = k > 0
 		if b.active[i] {
 			b.nActive++
 		}
 	}
-	b.wide = len(fns) > 64
+	b.wide = n > 64
 	b.frontier.Reset()
 	b.frontier.SetCounters(c)
-	c.Top1Searches += int64(len(fns))
+	c.Top1Searches += int64(n)
 	if b.nActive > 0 {
 		if root := t.RootPage(); root != pagedfile.InvalidPage {
 			root64 := maskAll
 			if !b.wide {
-				root64 = uint64(1)<<uint(len(fns)) - 1
+				root64 = uint64(1)<<uint(n) - 1
 			}
 			b.frontier.Push(batchEntry{bound: inf, mask: root64, page: root})
 		}
@@ -238,14 +265,28 @@ func (b *BatchSearcher) Reset(t index.ObjectIndex, fns []prefs.Preference, ks []
 // deletions are recorded out of band.
 func (b *BatchSearcher) SetSkip(skip func(index.ObjID) bool) { b.skip = skip }
 
-// SetCancel arms cooperative cancellation for the batch, exactly like
-// Searcher.SetCancel: Run checks the token immediately before every node
-// read and aborts the whole batch with the stage-tagged error. Call
-// between Reset and Run; Reset and Release disarm it.
+// SetCancel arms cooperative cancellation for the batch: Run checks the
+// token before its first node read and immediately after every node read,
+// and aborts the whole batch with the token's stage-tagged error. The
+// post-read check is what makes a deadline that passes during a slow read
+// fail the search even when that read was the last one it needed. Call
+// between Reset and Run; Reset and Release disarm it. The zero Token never
+// cancels and costs one nil comparison per node.
 func (b *BatchSearcher) SetCancel(t cancel.Token) { b.cancel = t }
 
+// SetFloor arms function f with a proven lower bound on the scores it will
+// accept: objects scoring strictly below floor are never offered to f, and
+// nodes whose bound for f is strictly below it are never pushed or read for
+// f. The caller must guarantee floor does not exceed f's true k-th best
+// score (e.g. the re-scored k-th of k objects known to be live in the same
+// tree, or the k-th of results already merged from another partition);
+// then f's results are bit-identical to an unfloored search, only cheaper.
+// A floor above the true k-th leaves f with fewer than k results, each
+// still exact. Call between Reset and Run; Reset disarms every floor.
+func (b *BatchSearcher) SetFloor(f int, floor float64) { b.floors[f] = floor }
+
 // batchPool recycles warmed batch searchers across requests and goroutines,
-// exactly like searcherPool for the single-function path.
+// exactly like searcherPool for streams.
 var batchPool = sync.Pool{New: func() any { return NewBatchSearcher() }}
 
 // AcquireBatchSearcher returns a pooled batch searcher already Reset for
@@ -253,6 +294,15 @@ var batchPool = sync.Pool{New: func() any { return NewBatchSearcher() }}
 func AcquireBatchSearcher(t index.ObjectIndex, fns []prefs.Preference, ks []int, c *stats.Counters) *BatchSearcher {
 	b := batchPool.Get().(*BatchSearcher)
 	b.Reset(t, fns, ks, c)
+	return b
+}
+
+// AcquireTopK returns a pooled searcher already ResetTopK for
+// (t, pref, k, c): the k-bounded top-k engine for one function. The caller
+// must Release it afterwards.
+func AcquireTopK(t index.ObjectIndex, pref prefs.Preference, k int, c *stats.Counters) *BatchSearcher {
+	b := batchPool.Get().(*BatchSearcher)
+	b.ResetTopK(t, pref, k, c)
 	return b
 }
 
@@ -277,10 +327,13 @@ func (b *BatchSearcher) Release() {
 }
 
 // useful reports whether an entry with the given upper bound can still change
-// function f's result set: the heap is not full, or the bound reaches the
-// k-th best score (an equal score can still win on the sum/ID tie-break, so
-// the comparison is non-strict).
+// function f's result set: the bound reaches f's floor, and the heap is not
+// full or the bound reaches the k-th best score (an equal score can still
+// win on the sum/ID tie-break, so both comparisons are non-strict).
 func (b *BatchSearcher) useful(f int, bound float64) bool {
+	if bound < b.floors[f] {
+		return false
+	}
 	h := b.heaps[f]
 	return len(h) < b.ks[f] || bound >= h[0].score
 }
@@ -337,6 +390,9 @@ func growF(s []float64, n int) []float64 {
 // per-function heaps hold each function's top-k; collect them with
 // AppendResults. Run is single-use per Reset.
 func (b *BatchSearcher) Run() error {
+	if err := b.cancel.Check("topk.traverse"); err != nil {
+		return err
+	}
 	for b.nActive > 0 {
 		top, ok := b.frontier.Pop()
 		if !ok {
@@ -360,11 +416,11 @@ func (b *BatchSearcher) Run() error {
 			// read entirely.
 			continue
 		}
-		if err := b.cancel.Check("topk.traverse"); err != nil {
-			return err
-		}
 		n, err := b.tree.ReadNode(top.page)
 		if err != nil {
+			return err
+		}
+		if err := b.cancel.Check("topk.traverse"); err != nil {
 			return err
 		}
 		b.c.NodesVisited++
@@ -390,25 +446,28 @@ func (b *BatchSearcher) expandLinearBatch(n index.Node) bool {
 		ids, pts := fl.FlatItems()
 		m := len(ids)
 		b.scores = growF(b.scores, nsel*m)
-		b.sums = growF(b.sums, m)
-		vec.DotSumBatch(b.wnode, nsel, d, pts, b.scores, b.sums)
+		vec.DotBatch(b.wnode, nsel, d, pts, b.scores)
 		b.c.ScoreEvals += int64(nsel * m)
 		// Function-major: each function scans its own contiguous score row,
 		// and the overwhelmingly common case — a full heap whose k-th best
-		// strictly beats the candidate — is rejected inline without building
-		// a result (equal scores fall through to offer for the tie-break).
+		// strictly beats the candidate, or a score below the floor — is
+		// rejected inline without building a result (equal scores fall
+		// through to offer for the tie-break). The coordinate sum is needed
+		// only by the rare candidate that gets that far, so it is computed
+		// there rather than for every point.
 		for r, f := range b.nodeIdx {
 			row := b.scores[r*m : r*m+m : r*m+m]
-			k := b.ks[f]
+			k, floor := b.ks[f], b.floors[f]
 			for i, sc := range row {
-				if h := b.heaps[f]; len(h) == k && h[0].score > sc {
+				if h := b.heaps[f]; sc < floor || len(h) == k && h[0].score > sc {
 					continue
 				}
 				id := ids[i]
 				if b.skip != nil && b.skip(id) {
 					continue
 				}
-				b.offer(f, sc, b.sums[i], id, pts[i*d:i*d+d:i*d+d])
+				p := vec.Point(pts[i*d : i*d+d : i*d+d])
+				b.offer(f, sc, p.Sum(), id, p)
 			}
 		}
 		return true
@@ -458,7 +517,11 @@ func (b *BatchSearcher) expandGeneric(n index.Node) {
 			sum := it.Point.Sum()
 			for _, f := range b.nodeIdx {
 				b.c.ScoreEvals++
-				b.offer(f, b.fns[f].Score(it.Point), sum, it.ID, it.Point)
+				sc := b.fns[f].Score(it.Point)
+				if sc < b.floors[f] {
+					continue
+				}
+				b.offer(f, sc, sum, it.ID, it.Point)
 			}
 		}
 		return
@@ -491,28 +554,37 @@ func (b *BatchSearcher) expandGeneric(n index.Node) {
 // AppendResults drains the heap.
 func (b *BatchSearcher) Len(f int) int { return len(b.heaps[f]) }
 
+// Pop removes and returns function f's worst remaining result — its
+// current k-th best — so Len(f) successive Pops yield f's results in
+// ascending preference order. Valid after Run; Pop on an empty heap
+// panics.
+func (b *BatchSearcher) Pop(f int) Result {
+	h := b.heaps[f]
+	r := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = batchResult{} // drop the point reference
+	h = h[:last]
+	if last > 0 {
+		siftDown(h, 0)
+	}
+	b.heaps[f] = h
+	return Result{ID: r.id, Point: r.point, Score: r.score}
+}
+
 // AppendResults appends function f's results to dst in descending preference
-// order — the order SearchAppend emits — and returns the extended slice. It
+// order — the order Search emits — and returns the extended slice. It
 // drains the heap worst-first into the tail of the output, so call it once
 // per function after Run.
 func (b *BatchSearcher) AppendResults(f int, dst []Result) []Result {
-	h := b.heaps[f]
-	m := len(h)
+	m := len(b.heaps[f])
 	base := len(dst)
 	for i := 0; i < m; i++ {
 		dst = append(dst, Result{})
 	}
 	for i := m - 1; i >= 0; i-- {
-		r := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		if last > 0 {
-			siftDown(h, 0)
-		}
-		dst[base+i] = Result{ID: r.id, Point: r.point, Score: r.score}
+		dst[base+i] = b.Pop(f)
 	}
-	b.heaps[f] = h
 	return dst
 }
 

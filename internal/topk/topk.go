@@ -1,26 +1,38 @@
 // Package topk implements branch-and-bound ranked search over the disk
 // R-tree, following Tao et al., "Branch-and-bound processing of ranked
 // queries" (reference [3] of the paper). It is the top-1 module of the Brute
-// Force and Chain matchers.
+// Force and Chain matchers and the engine under every top-k request of the
+// serving layer.
 //
 // The search is best-first on an upper-bound priority queue: an intermediate
 // entry's key is the preference's upper bound over its MBR (for monotone
 // preferences, the score of the MBR's top corner), an object's key is its
-// exact score. Objects therefore surface in exact descending score order,
-// with the deterministic function-side tie-breaks of package prefs
-// (coordinate sum, then object ID), and only the R-tree nodes whose bound
-// reaches the current frontier are read.
+// exact score. Results follow the total order of Better — descending score,
+// then the deterministic function-side tie-breaks of package prefs
+// (coordinate sum, then object ID) — and only the R-tree nodes whose bound
+// reaches the k-th best score are read.
 //
 // # Serving path
 //
-// Searcher is resettable: Reset rebinds it to a (tree, preference) pair
-// while keeping the frontier's backing array, so a steady-state caller
-// performs zero allocations per query. AcquireSearcher/Release pool
-// searchers across goroutines; Top1, Search and SearchAppend route through
-// the pool. When the preference is a linear prefs.Function and the backend
-// exposes columnar node storage (index.FlatLeaf / index.FlatInternal — the
-// memory backend does), scoring runs devirtualized over the flat slabs with
-// no per-entry interface dispatch. All paths produce bit-identical results.
+// Every search with a known k runs one engine: the k-bounded BatchSearcher
+// (batch.go). Its frontier holds nodes only; each leaf object is scored and
+// rejected inline unless it beats the function's current k-th best, which
+// lives in a k-bounded result heap. Search, SearchAppend and Top1 are thin
+// wrappers over a pooled one-function walk (AcquireTopK); the serving
+// layer's TopK, the session walks (with SetFloor) and the sharded fan-out
+// drive the same engine, batched or not. The engine is resettable and
+// pooled, so a steady-state caller performs zero allocations per query.
+// When every preference is a linear prefs.Function and the backend exposes
+// columnar node storage (index.FlatLeaf / index.FlatInternal — the memory
+// backend does), scoring runs devirtualized over the flat slabs through
+// the blocked kernels of internal/vec. All paths produce bit-identical
+// results.
+//
+// The streaming Searcher remains for consumers that do not know k in
+// advance: Next returns objects one at a time in exact descending order,
+// pushing every scored object into its frontier. The incremental matching
+// sources of package core and the per-shard streams of the sharded
+// matching wave use it.
 package topk
 
 import (
@@ -111,30 +123,12 @@ type Searcher struct {
 	frontier pqueue.Queue[heapItem]
 	counters *stats.Counters
 	cancel   cancel.Token // zero Token: never cancels
-	floor    float64      // entries bounded strictly below it are never pushed (see SetFloor)
 }
-
-// IncSearch is the historical name of Searcher.
-//
-// Deprecated: use Searcher (with NewSearcher/Reset or AcquireSearcher); the
-// alias is kept only so PR-4-era callers keep compiling.
-type IncSearch = Searcher
 
 // NewSearcher returns an unbound reusable searcher; call Reset before Next.
 func NewSearcher() *Searcher {
 	s := &Searcher{}
 	s.frontier.Init(better)
-	return s
-}
-
-// NewIncSearch starts an incremental ranked search for pref over t, charging
-// work to c (nil means the tree's own counters).
-//
-// Deprecated: use NewSearcher followed by Reset, or AcquireSearcher for a
-// pooled one.
-func NewIncSearch(t index.ObjectIndex, pref prefs.Preference, c *stats.Counters) *IncSearch {
-	s := NewSearcher()
-	s.Reset(t, pref, c)
 	return s
 }
 
@@ -156,7 +150,6 @@ func (s *Searcher) Reset(t index.ObjectIndex, pref prefs.Preference, c *stats.Co
 	s.frontier.Reset()
 	s.frontier.SetCounters(c)
 	s.cancel = cancel.Token{}
-	s.floor = -inf
 	c.Top1Searches++
 	if root := t.RootPage(); root != pagedfile.InvalidPage {
 		// The root's true bound is unknown before reading it; +Inf keeps it
@@ -166,29 +159,18 @@ func (s *Searcher) Reset(t index.ObjectIndex, pref prefs.Preference, c *stats.Co
 }
 
 // SetCancel arms the searcher's cooperative cancellation: Next checks the
-// token immediately before every node read (the unit of both latency and
-// I/O, so a canceled search stops within about one node expansion) and
+// token immediately before and immediately after every node read (the unit
+// of both latency and I/O, so a canceled search stops within about one
+// node expansion, and a deadline that passes during a slow read is
+// reported even when that read was the last one the search needed) and
 // returns the token's stage-tagged error. Reset and Release disarm it, so
 // pooled searchers never inherit a previous request's deadline. The zero
-// Token never cancels and costs one nil comparison per node.
+// Token never cancels and costs one nil comparison per check.
 func (s *Searcher) SetCancel(t cancel.Token) { s.cancel = t }
 
-// SetFloor arms the searcher with a proven lower bound on the scores the
-// caller will accept: heap entries — nodes and objects alike — whose bound is
-// strictly below the floor are never pushed, so the frontier stays small and
-// whole subtrees are skipped without a heap operation. The caller must
-// guarantee the floor is a valid lower bound on the k-th score it will take
-// (e.g. the re-scored k-th of k objects known to be live in the same tree);
-// then the first k results are bit-identical to an unfloored search, because
-// every emitted object scores at least the floor and entries below it can
-// never surface among them. Next calls beyond that guarantee may terminate
-// early. Reset and Release disarm the floor, so pooled searchers never
-// inherit one.
-func (s *Searcher) SetFloor(floor float64) { s.floor = floor }
-
-// searcherPool recycles warmed searchers across queries and goroutines: the
-// serving path (Server.TopK/TopKMany, the sharded per-shard fan-out) would
-// otherwise allocate a frontier per query.
+// searcherPool recycles warmed searchers across streams and goroutines: the
+// sharded matching wave opens one stream per (function, shard) and would
+// otherwise allocate a frontier per stream.
 var searcherPool = sync.Pool{New: func() any { return NewSearcher() }}
 
 // AcquireSearcher returns a pooled searcher already Reset for (t, pref, c).
@@ -206,7 +188,6 @@ func (s *Searcher) Release() {
 	s.tree, s.pref, s.counters = nil, nil, nil
 	s.lin, s.isLinear = prefs.Function{}, false
 	s.cancel = cancel.Token{}
-	s.floor = -inf
 	s.frontier.Reset()
 	s.frontier.SetCounters(nil)
 	searcherPool.Put(s)
@@ -232,6 +213,9 @@ func (s *Searcher) Next() (Result, bool, error) {
 		if err != nil {
 			return Result{}, false, err
 		}
+		if err := s.cancel.Check("topk.traverse"); err != nil {
+			return Result{}, false, err
+		}
 		s.counters.NodesVisited++
 		if s.isLinear && s.expandLinear(n) {
 			continue
@@ -240,12 +224,8 @@ func (s *Searcher) Next() (Result, bool, error) {
 			if n.Leaf() {
 				it := n.Object(i)
 				s.counters.ScoreEvals++
-				sc := s.pref.Score(it.Point)
-				if sc < s.floor {
-					continue
-				}
 				s.frontier.Push(heapItem{
-					bound: sc,
+					bound: s.pref.Score(it.Point),
 					isObj: true,
 					id:    it.ID,
 					point: it.Point,
@@ -253,12 +233,8 @@ func (s *Searcher) Next() (Result, bool, error) {
 				})
 			} else {
 				s.counters.ScoreEvals++
-				b := s.pref.UpperBound(n.Rect(i))
-				if b < s.floor {
-					continue
-				}
 				s.frontier.Push(heapItem{
-					bound: b,
+					bound: s.pref.UpperBound(n.Rect(i)),
 					page:  n.ChildPage(i),
 				})
 			}
@@ -285,9 +261,6 @@ func (s *Searcher) expandLinear(n index.Node) bool {
 			p := pts[i*d : i*d+d : i*d+d]
 			dot, sum := vec.DotSum(w, p)
 			s.counters.ScoreEvals++
-			if dot < s.floor {
-				continue
-			}
 			s.frontier.Push(heapItem{
 				bound: dot,
 				isObj: true,
@@ -305,12 +278,8 @@ func (s *Searcher) expandLinear(n index.Node) bool {
 	_, hi := fi.FlatRects() // a monotone bound over an MBR needs the top corner only
 	for i := 0; i < n.Len(); i++ {
 		s.counters.ScoreEvals++
-		b := vec.Dot(w, hi[i*d:i*d+d])
-		if b < s.floor {
-			continue
-		}
 		s.frontier.Push(heapItem{
-			bound: b,
+			bound: vec.Dot(w, hi[i*d:i*d+d]),
 			page:  n.ChildPage(i),
 		})
 	}
@@ -320,10 +289,12 @@ func (s *Searcher) expandLinear(n index.Node) bool {
 // Top1 returns the single best object in t for pref, with ok == false when t
 // is empty.
 func Top1(t index.ObjectIndex, pref prefs.Preference, c *stats.Counters) (Result, bool, error) {
-	s := AcquireSearcher(t, pref, c)
-	r, ok, err := s.Next()
-	s.Release()
-	return r, ok, err
+	b := AcquireTopK(t, pref, 1, c)
+	defer b.Release()
+	if err := b.Run(); err != nil || b.Len(0) == 0 {
+		return Result{}, false, err
+	}
+	return b.Pop(0), true, nil
 }
 
 // Search returns the k best objects in descending preference order (fewer
@@ -339,22 +310,15 @@ func Search(t index.ObjectIndex, pref prefs.Preference, k int, c *stats.Counters
 // SearchAppend appends the up-to-k best objects to dst, best first, and
 // returns the extended slice — the allocation-free form of Search for
 // callers that reuse a result buffer across queries. A non-positive k
-// returns dst unchanged.
+// returns dst unchanged; on error dst is returned unchanged too.
 func SearchAppend(dst []Result, t index.ObjectIndex, pref prefs.Preference, k int, c *stats.Counters) ([]Result, error) {
 	if k <= 0 {
 		return dst, nil
 	}
-	s := AcquireSearcher(t, pref, c)
-	defer s.Release()
-	for taken := 0; taken < k; taken++ {
-		r, ok, err := s.Next()
-		if err != nil {
-			return dst, err
-		}
-		if !ok {
-			break
-		}
-		dst = append(dst, r)
+	b := AcquireTopK(t, pref, k, c)
+	defer b.Release()
+	if err := b.Run(); err != nil {
+		return dst, err
 	}
-	return dst, nil
+	return b.AppendResults(0, dst), nil
 }

@@ -22,8 +22,10 @@ func DotBatch(ws []float64, q, d int, xs []float64, out []float64) {
 	for f := 0; f < q; f++ {
 		w := ws[f*d : f*d+d : f*d+d]
 		o := out[f*n : f*n+n : f*n+n]
-		for i := 0; i < n; i++ {
-			x := xs[i*d : i*d+d : i*d+d]
+		for i := range o {
+			// Reslicing to len(w) lets the compiler drop the bounds check
+			// on every x[j] below.
+			x := xs[i*d : i*d+d : i*d+d][:len(w)]
 			s := 0.0
 			for j, wj := range w {
 				s += wj * x[j]
@@ -31,25 +33,6 @@ func DotBatch(ws []float64, q, d int, xs []float64, out []float64) {
 			o[i] = s
 		}
 	}
-}
-
-// DotSumBatch is DotBatch plus the per-point coordinate sums: sums[i] gets
-// Point.Sum of point i (the dominance-consistent tie-breaker cached by the
-// ranked-search heaps). The sums depend only on the points, not on the
-// functions, so a batch computes them once instead of q times — one of the
-// shared-work savings of batching. sums must have room for n values.
-func DotSumBatch(ws []float64, q, d int, xs []float64, out, sums []float64) {
-	n := len(xs) / d
-	_ = sums[:n]
-	for i := 0; i < n; i++ {
-		x := xs[i*d : i*d+d : i*d+d]
-		s := 0.0
-		for _, v := range x {
-			s += v
-		}
-		sums[i] = s
-	}
-	DotBatch(ws, q, d, xs, out)
 }
 
 // MBRBoundsBatch computes, for each of q linear functions and each of the

@@ -39,28 +39,6 @@ func TestDotBatchMatchesDot(t *testing.T) {
 	}
 }
 
-func TestDotSumBatchMatchesDotSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const d, q, n = 4, 7, 29
-	ws := coarseSlab(rng, q, d)
-	xs := coarseSlab(rng, n, d)
-	out := make([]float64, q*n)
-	sums := make([]float64, n)
-	DotSumBatch(ws, q, d, xs, out, sums)
-	for i := 0; i < n; i++ {
-		x := xs[i*d : (i+1)*d]
-		if want := Point(x).Sum(); sums[i] != want {
-			t.Fatalf("sums[%d] = %v, Point.Sum = %v", i, sums[i], want)
-		}
-		for f := 0; f < q; f++ {
-			dot, _ := DotSum(Point(ws[f*d:(f+1)*d]), x)
-			if out[f*n+i] != dot {
-				t.Fatalf("out[%d,%d] = %v, DotSum dot = %v", f, i, out[f*n+i], dot)
-			}
-		}
-	}
-}
-
 func TestMBRBoundsBatchMatchesDotOnHiCorner(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const d, q, n = 3, 5, 17
@@ -83,9 +61,8 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 	ws := coarseSlab(rng, q, d)
 	xs := coarseSlab(rng, n, d)
 	out := make([]float64, q*n)
-	sums := make([]float64, n)
 	if a := testing.AllocsPerRun(100, func() {
-		DotSumBatch(ws, q, d, xs, out, sums)
+		DotBatch(ws, q, d, xs, out)
 		MBRBoundsBatch(ws, q, d, xs, out)
 	}); a != 0 {
 		t.Fatalf("batch kernels allocate %v per run", a)

@@ -123,6 +123,19 @@ func (s *Server) finishReq(op serverOp, qid int, errp *error) {
 	}
 }
 
+// handBack is a read request's last checkpoint, run once its traversal has
+// returned err and before the result is recorded and handed back. The
+// contract: a request whose deadline passes before it returns reports
+// ErrDeadlineExceeded (ErrCanceled for a canceled context), even when every
+// traversal checkpoint ran in time — e.g. a slow last node read that
+// started inside the deadline and finished outside it.
+func handBack(tok cancel.Token, err error) error {
+	if err != nil {
+		return err
+	}
+	return tok.Check("request.return")
+}
+
 // degradedReason reports why the server is degraded ("" when healthy):
 // the admission gate is saturated right now, or requests were shed in the
 // trailing window. /healthz stays 200 on degraded — it is load, not

@@ -140,6 +140,17 @@ func (s *Server) acquireScratch() *serveScratch {
 	return sc
 }
 
+// linear normalises a query that passed checkLinear into the scratch's
+// arena and returns its function boxed by pointer — recognised by
+// prefs.Linear and allocation-free once the scratch is warm. The pointer
+// stays valid until the next linear call or releaseScratch.
+func (sc *serveScratch) linear(q Query) prefs.Preference {
+	f, arena, _ := prefs.AppendFunction(sc.arena, q.ID, q.Weights)
+	sc.arena = arena
+	sc.fnvals = append(sc.fnvals, f)
+	return &sc.fnvals[len(sc.fnvals)-1]
+}
+
 func (s *Server) releaseScratch(sc *serveScratch) {
 	sc.arena = sc.arena[:0]
 	sc.fnvals = sc.fnvals[:0]
@@ -563,6 +574,7 @@ func (s *Server) match(tok cancel.Token, queries []Query, opts *Options, shardWo
 	snap := s.ix.Snapshot()
 	tr.mark(stagePin)
 	res, c, err := matchWave(snap, s.caps(), queries, opts, tok)
+	err = handBack(tok, err)
 	tr.mark(stageTraverse)
 	if err != nil {
 		s.om.fail(opMatch)
@@ -591,6 +603,7 @@ func (s *Server) matchSharded(tok cancel.Token, queries []Query, opts *Options, 
 	copts.Cancel = tok
 	c := &stats.Counters{}
 	pairs, err := s.sh.MatchWave(fns, copts, shardWorkers, c)
+	err = handBack(tok, err)
 	tr.mark(stageTraverse)
 	if err != nil {
 		s.om.fail(opMatch)
@@ -661,13 +674,16 @@ func (s *Server) matchMany(tok cancel.Token, waves [][]Query, opts *Options, wor
 // traces the remaining stages — scratch/epoch pin, traversal, counter
 // merge — and feeds the op's latency histogram and the slow-query log.
 // The recorded Stats.Elapsed stays the traversal time alone, exactly as
-// before tracing existed.
-func serve[T any](s *Server, op serverOp, validate time.Duration, req func(snap index.ObjectIndex, c *stats.Counters) (T, error)) (T, error) {
+// before tracing existed. req runs on the scratch (snapshot, counter sink,
+// arena); a request whose token fires before serve hands the result back
+// fails with the token's error (see handBack).
+func serve[T any](s *Server, op serverOp, tok cancel.Token, validate time.Duration, req func(sc *serveScratch) (T, error)) (T, error) {
 	var tr reqTrace
 	tr.begin(validate)
 	sc := s.acquireScratch()
 	tr.mark(stagePin)
-	out, err := req(sc.snap, &sc.c)
+	out, err := req(sc)
+	err = handBack(tok, err)
 	tr.mark(stageTraverse)
 	if err != nil {
 		s.releaseScratch(sc)
@@ -713,8 +729,7 @@ func (s *Server) topK(tok cancel.Token, query Query, k, shardWorkers int) ([]Ass
 		s.om.fail(opTopK)
 		return nil, fmt.Errorf("prefmatch: negative k %d", k)
 	}
-	f, err := linearPref(query, s.ix.Dim())
-	if err != nil {
+	if err := checkLinear(query, s.ix.Dim()); err != nil {
 		s.om.fail(opTopK)
 		return nil, err
 	}
@@ -723,10 +738,11 @@ func (s *Server) topK(tok cancel.Token, query Query, k, shardWorkers int) ([]Ass
 		return nil, nil
 	}
 	if s.sh != nil {
-		return s.topKSharded(tok, query.ID, f, k, shardWorkers, validate)
+		f, _ := prefs.NewFunction(query.ID, query.Weights) // validated above
+		return s.topKSharded(tok, query.ID, &f, k, shardWorkers, validate)
 	}
-	return serve(s, opTopK, validate, func(snap index.ObjectIndex, c *stats.Counters) ([]Assignment, error) {
-		return topkOver(snap, query.ID, f, k, tok, c)
+	return serve(s, opTopK, tok, validate, func(sc *serveScratch) ([]Assignment, error) {
+		return topkOver(sc.snap, query.ID, sc.linear(query), k, tok, &sc.c)
 	})
 }
 
@@ -741,6 +757,7 @@ func (s *Server) topKSharded(tok cancel.Token, qid int, p prefs.Preference, k, s
 	tr.begin(validate)
 	c := &stats.Counters{}
 	results, err := s.sh.SearchTopKCancel(p, k, shardWorkers, tok, c)
+	err = handBack(tok, err)
 	tr.mark(stageTraverse)
 	if err != nil {
 		s.om.fail(opTopK)
@@ -783,8 +800,8 @@ func (s *Server) topKMonotone(tok cancel.Token, query PreferenceQuery, k int) (_
 	if s.sh != nil {
 		return s.topKSharded(tok, query.ID, prefAdapter{p: query.Preference}, k, 0, validate)
 	}
-	return serve(s, opTopK, validate, func(snap index.ObjectIndex, c *stats.Counters) ([]Assignment, error) {
-		return topkOver(snap, query.ID, prefAdapter{p: query.Preference}, k, tok, c)
+	return serve(s, opTopK, tok, validate, func(sc *serveScratch) ([]Assignment, error) {
+		return topkOver(sc.snap, query.ID, prefAdapter{p: query.Preference}, k, tok, &sc.c)
 	})
 }
 
@@ -886,6 +903,7 @@ func (s *Server) topKChunk(tok cancel.Token, queries []Query, fns []prefs.Prefer
 		tr.begin(0)
 		c := &stats.Counters{}
 		res, err := s.sh.SearchTopKBatchCancel(fns, k, shardWorkers, tok, c)
+		err = handBack(tok, err)
 		tr.mark(stageTraverse)
 		if err != nil {
 			s.om.fail(opTopKMany)
@@ -914,7 +932,7 @@ func (s *Server) topKChunk(tok cancel.Token, queries []Query, fns []prefs.Prefer
 	b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, &sc.c)
 	defer b.Release()
 	b.SetCancel(tok)
-	if err := b.Run(); err != nil {
+	if err := handBack(tok, b.Run()); err != nil {
 		s.om.fail(opTopKMany)
 		return err
 	}
@@ -1017,6 +1035,7 @@ func (s *Server) topKChunkAppend(tok cancel.Token, dst []Assignment, offsets []i
 	if s.sh != nil {
 		c := &stats.Counters{}
 		res, err := s.sh.SearchTopKBatchCancel(fns, k, 1, tok, c)
+		err = handBack(tok, err)
 		tr.mark(stageTraverse)
 		if err != nil {
 			s.om.fail(opTopKMany)
@@ -1040,7 +1059,7 @@ func (s *Server) topKChunkAppend(tok cancel.Token, dst []Assignment, offsets []i
 	b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, &sc.c)
 	defer b.Release()
 	b.SetCancel(tok)
-	if err := b.Run(); err != nil {
+	if err := handBack(tok, b.Run()); err != nil {
 		s.om.fail(opTopKMany)
 		return dst, offsets, err
 	}
@@ -1073,8 +1092,8 @@ func (s *Server) skyline(tok cancel.Token) (_ []int, err error) {
 	}
 	defer s.exitRequest()
 	defer s.finishReq(opSkyline, -1, &err)
-	return serve(s, opSkyline, 0, func(snap index.ObjectIndex, c *stats.Counters) ([]int, error) {
-		return skylineOver(snap, tok, c)
+	return serve(s, opSkyline, tok, 0, func(sc *serveScratch) ([]int, error) {
+		return skylineOver(sc.snap, tok, &sc.c)
 	})
 }
 

@@ -185,3 +185,60 @@ func TestZeroAllocGatedContextTopKManyAppend(t *testing.T) {
 		t.Fatalf("gated append batch returned %d assignments, want %d", len(dst), q*k)
 	}
 }
+
+// TestServerTopKOneAlloc pins Server.TopK over the memory backend at one
+// allocation per request — the returned slice. The query's weights are
+// normalised into the pooled scratch arena and boxed by pointer, and the
+// k-bounded engine is pooled, so nothing else may allocate: not with a
+// background context, and not with the admission gate armed and a live
+// cancelable context.
+func TestServerTopKOneAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (instrumented allocations, sync.Pool drops puts)")
+	}
+	const (
+		d = 4
+		k = 10
+	)
+	qs := serveQueries(8, d, 85)
+	ctx, cancelFn := context.WithCancel(context.Background())
+	defer cancelFn()
+	for _, tc := range []struct {
+		name string
+		opts *prefmatch.Options
+		ctx  context.Context
+	}{
+		{"plain", nil, context.Background()},
+		{"gated+ctx", &prefmatch.Options{MaxInFlight: 4}, ctx},
+	} {
+		srv, err := prefmatch.NewServer(serveObjects(5000, d, 84), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			i    int
+			got  []prefmatch.Assignment
+			qerr error
+		)
+		query := func() {
+			got, qerr = srv.TopKContext(tc.ctx, qs[i%len(qs)], k)
+			i++
+		}
+		for j := 0; j < 5; j++ {
+			query()
+			if qerr != nil {
+				t.Fatal(qerr)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, query)
+		if qerr != nil {
+			t.Fatal(qerr)
+		}
+		if len(got) != k {
+			t.Fatalf("%s: TopK returned %d assignments, want %d", tc.name, len(got), k)
+		}
+		if allocs != 1 {
+			t.Fatalf("%s: steady-state Server.TopK allocated %v times per request, want 1 (the result slice)", tc.name, allocs)
+		}
+	}
+}

@@ -43,7 +43,7 @@ import (
 // re-qualified serve the threshold inflates by Δ (the bound itself stays an
 // outside bound), so repeated nudges degrade it gradually until a fallback
 // walk refreshes the state. The fallback is a ranked walk seeded with the
-// re-scored n-th as a score floor (topk.Searcher.SetFloor) — still
+// re-scored n-th as a score floor (topk.BatchSearcher.SetFloor) — still
 // bit-identical, just cheaper than a cold walk. Every path is exact: each
 // session answer is bit-identical to a cold Server.TopK at the same epoch.
 //
@@ -300,6 +300,7 @@ func (sess *Session) topKAppend(tok cancel.Token, dst []Assignment, k int) (_ []
 	tr.mark(stagePin)
 	n0 := len(dst)
 	dst, err = sess.answer(tok, sc, dst, k, snapshotEpoch(sc.snap))
+	err = handBack(tok, err)
 	tr.mark(stageTraverse)
 	if err != nil {
 		s.om.fail(opSessionTopK)
@@ -481,13 +482,13 @@ func (sess *Session) appendPrev(dst []Assignment, k int) []Assignment {
 }
 
 // walk answers by ranked search over the pinned snapshot — the same
-// traversal as Server.TopK, single-searcher on every backend (on a sharded
+// k-bounded engine as Server.TopK, one walk on every backend (on a sharded
 // server the composite snapshot is walked through its synthetic root, which
 // yields the identical canonical order as the fan-out path). With haveFloor
-// set, entries bounded below floor are pruned at the heap (see
-// topk.Searcher.SetFloor); the result is still bit-identical, the walk just
-// expands less. Linear sessions adopt the walked answer as incremental
-// state and publish it to the result cache.
+// set, the walk is floored (topk.BatchSearcher.SetFloor): entries bounded
+// below floor are never pushed or read; the result is still bit-identical,
+// the walk just expands less. Linear sessions adopt the walked answer as
+// incremental state and publish it to the result cache.
 func (sess *Session) walk(tok cancel.Token, sc *serveScratch, dst []Assignment, k int, epoch uint64, floor float64, haveFloor bool) ([]Assignment, error) {
 	s := sess.srv
 	var p prefs.Preference
@@ -501,35 +502,20 @@ func (sess *Session) walk(tok cancel.Token, sc *serveScratch, dst []Assignment, 
 		fetch = sessionFetch(k) // over-fetch: re-qualification headroom
 	}
 	for {
-		srch := topk.AcquireSearcher(sc.snap, p, &sc.c)
-		srch.SetCancel(tok)
+		b := topk.AcquireTopK(sc.snap, p, fetch, &sc.c)
+		b.SetCancel(tok)
 		if haveFloor {
-			srch.SetFloor(floor)
+			b.SetFloor(0, floor)
 		}
-		sess.tmpIDs = sess.tmpIDs[:0]
-		sess.tmpCoords = sess.tmpCoords[:0]
-		sess.tmpScores = sess.tmpScores[:0]
-		sess.tmpSums = sess.tmpSums[:0]
-		var werr error
-		for len(sess.tmpIDs) < fetch {
-			r, ok, err := srch.Next()
-			if err != nil {
-				werr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			sess.tmpIDs = append(sess.tmpIDs, r.ID)
-			sess.tmpCoords = append(sess.tmpCoords, r.Point...)
-			sess.tmpScores = append(sess.tmpScores, r.Score)
-			sess.tmpSums = append(sess.tmpSums, r.Point.Sum())
+		err := b.Run()
+		if err == nil {
+			sc.rbuf = b.AppendResults(0, sc.rbuf[:0])
 		}
-		srch.Release()
-		if werr != nil {
-			return dst, werr
+		b.Release()
+		if err != nil {
+			return dst, err
 		}
-		if haveFloor && len(sess.tmpIDs) < fetch {
+		if haveFloor && len(sc.rbuf) < fetch {
 			// The floor is provably below the true fetch-th, so a floored
 			// walk running dry early should be impossible; re-walk unfloored
 			// rather than trust the proof over an unforeseen float edge.
@@ -537,6 +523,16 @@ func (sess *Session) walk(tok cancel.Token, sc *serveScratch, dst []Assignment, 
 			continue
 		}
 		break
+	}
+	sess.tmpIDs = sess.tmpIDs[:0]
+	sess.tmpCoords = sess.tmpCoords[:0]
+	sess.tmpScores = sess.tmpScores[:0]
+	sess.tmpSums = sess.tmpSums[:0]
+	for _, r := range sc.rbuf {
+		sess.tmpIDs = append(sess.tmpIDs, r.ID)
+		sess.tmpCoords = append(sess.tmpCoords, r.Point...)
+		sess.tmpScores = append(sess.tmpScores, r.Score)
+		sess.tmpSums = append(sess.tmpSums, r.Point.Sum())
 	}
 	m := len(sess.tmpIDs)
 	out := m
