@@ -23,14 +23,15 @@ import (
 // *Over helpers below.
 
 // skylineOver computes the sorted skyline IDs of an already-built index.
-// The token is checked once before the computation starts — the skyline
-// walk is one indivisible pass, so a request canceled mid-compute finishes
-// its pass and is classified on return.
+// The token is checked once before the computation starts and after every
+// node read of the walk, so a request canceled mid-compute stops within
+// about one node expansion.
 func skylineOver(tree index.ObjectIndex, tok cancel.Token, c *stats.Counters) ([]int, error) {
 	if err := tok.Check("skyline.compute"); err != nil {
 		return nil, err
 	}
 	m := skyline.New(tree, skyline.MaintainPlist, c)
+	m.SetCancel(tok)
 	if err := m.Compute(); err != nil {
 		return nil, err
 	}

@@ -48,13 +48,19 @@ func chaosQuery(id int) Query { return Query{ID: id, Weights: []float64{0.7, 0.3
 // observable and poisonable.
 func newFaultyServer(t *testing.T, n int, opts *Options) (*Server, *faulty.Index) {
 	t.Helper()
+	return newFaultyServerOver(t, chaosObjects(n, 2), opts)
+}
+
+// newFaultyServerOver is newFaultyServer over a given object set.
+func newFaultyServerOver(t *testing.T, objs []Object, opts *Options) (*Server, *faulty.Index) {
+	t.Helper()
 	if opts == nil {
 		opts = &Options{}
 	}
 	if opts.SlowQueryLog == nil {
 		opts.SlowQueryLog = io.Discard // keep injected panic stacks out of test output
 	}
-	d, items, caps, err := convertObjectSet(chaosObjects(n, 2))
+	d, items, caps, err := convertObjectSet(objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +81,20 @@ func newFaultyServer(t *testing.T, n int, opts *Options) (*Server, *faulty.Index
 // poisoned while the others stay healthy.
 func newFaultyShardedServer(t *testing.T, n, shards int, opts *Options) (*Server, []*faulty.Index) {
 	t.Helper()
+	return newFaultyShardedServerOver(t, chaosObjects(n, 2), shards, opts)
+}
+
+// newFaultyShardedServerOver is newFaultyShardedServer over a given object
+// set.
+func newFaultyShardedServerOver(t *testing.T, objs []Object, shards int, opts *Options) (*Server, []*faulty.Index) {
+	t.Helper()
 	if opts == nil {
 		opts = &Options{}
 	}
 	if opts.SlowQueryLog == nil {
 		opts.SlowQueryLog = io.Discard
 	}
-	d, items, caps, err := convertObjectSet(chaosObjects(n, 2))
+	d, items, caps, err := convertObjectSet(objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +287,76 @@ func TestChaosDeadlineMidWave(t *testing.T) {
 	fix.Clear(faulty.SiteRefill)
 	if _, err := srv.Match([]Query{chaosQuery(1)}, nil); err != nil {
 		t.Fatalf("Match after canceled wave: %v", err)
+	}
+}
+
+// A deadline that passes while a wave computes its skyline must stop the
+// skyline traversal at its next node read: with every read slower than the
+// whole deadline, each skyline maintainer (one unsharded, one per shard)
+// reads at most one node after the deadline, and the wave fails with
+// ErrDeadlineExceeded instead of finishing the traversal first. The objects
+// are 4-D so that every skyline traversal reads several leaves.
+func TestChaosDeadlineDuringSkylineCompute(t *testing.T) {
+	objs := chaosObjects(8000, 4)
+	qs := []Query{{ID: 1, Weights: []float64{0.4, 0.3, 0.2, 0.1}}, {ID: 2, Weights: []float64{0.1, 0.2, 0.3, 0.4}}}
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{
+		{"unsharded", 0},
+		{"sharded", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				srv  *Server
+				fixs []*faulty.Index
+			)
+			if tc.shards == 0 {
+				var fix *faulty.Index
+				srv, fix = newFaultyServerOver(t, objs, nil)
+				fixs = []*faulty.Index{fix}
+			} else {
+				srv, fixs = newFaultyShardedServerOver(t, objs, tc.shards, nil)
+			}
+			reads := func() []int64 {
+				out := make([]int64, len(fixs))
+				for i, f := range fixs {
+					out[i] = f.Calls(faulty.SiteRefill)
+				}
+				return out
+			}
+			before := reads()
+			if _, err := srv.Match(qs, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range reads() {
+				if d := n - before[i]; d < 3 {
+					t.Fatalf("maintainer %d read %d nodes; the test needs multi-level traversals", i, d)
+				}
+			}
+			for _, f := range fixs {
+				f.Inject(faulty.SiteRefill, faulty.Fault{Latency: 50 * time.Millisecond})
+			}
+			defer func() {
+				for _, f := range fixs {
+					f.Clear(faulty.SiteRefill)
+				}
+			}()
+			ctx, cancelFn := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancelFn()
+			before = reads()
+			_, err := srv.MatchContext(ctx, qs, nil)
+			if !errors.Is(err, ErrDeadlineExceeded) {
+				t.Fatalf("MatchContext: err = %v, want ErrDeadlineExceeded", err)
+			}
+			// Every read lasts longer than the deadline, so only a
+			// maintainer's first read can start before it.
+			for i, n := range reads() {
+				if d := n - before[i]; d > 2 {
+					t.Fatalf("maintainer %d read %d nodes, more than one after the deadline", i, d)
+				}
+			}
+		})
 	}
 }
 

@@ -3,9 +3,9 @@
 // on the hot path.
 //
 // A Token is a two-word value wrapping a context's done channel. The
-// engines (topk.Searcher, topk.BatchSearcher, the matching-wave loop,
-// the sharded fan-out workers) call Check at natural amortization points
-// — around each node read, once per emitted pair, once per stream refill,
+// engines (topk.Searcher, topk.BatchSearcher, skyline.Maintainer, the
+// matching-wave loop, the sharded fan-out workers) call Check at natural
+// amortization points — around each node read, once per emitted pair, once per stream refill,
 // and once before a request hands its result back — so a request that has
 // been canceled or has blown its deadline stops within roughly one node
 // expansion instead of running to completion. Check on a live token is one non-blocking select on a

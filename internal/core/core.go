@@ -106,7 +106,8 @@ type Options struct {
 
 	// Cancel is the request's cooperative cancellation token. When live,
 	// the matcher checks it at the top of every Next call — the wave loop's
-	// natural amortization point, one check per emitted pair — and returns
+	// natural amortization point, one check per emitted pair — and SB's
+	// skyline traversal checks it after every node read; either returns
 	// the token's stage-tagged error. The zero Token never cancels.
 	Cancel cancel.Token
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"prefmatch/internal/index"
 	"prefmatch/internal/prefs"
@@ -231,10 +231,9 @@ func (m *genericSB) loop() error {
 	if len(pairs) == 0 {
 		return fmt.Errorf("core: no stable pair found in generic loop %d", m.c.Loops)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a := prefs.PairKey{Score: pairs[i].score, ObjSum: pairs[i].obj.Sum, FuncID: m.gps[pairs[i].fIdx].ID, ObjID: int(pairs[i].obj.ID)}
-		b := prefs.PairKey{Score: pairs[j].score, ObjSum: pairs[j].obj.Sum, FuncID: m.gps[pairs[j].fIdx].ID, ObjID: int(pairs[j].obj.ID)}
-		return a.Better(b)
+	slices.SortFunc(pairs, func(a, b matchedPair) int {
+		return prefs.PairKey{Score: a.score, ObjSum: a.obj.Sum, FuncID: m.gps[a.fIdx].ID, ObjID: int(a.obj.ID)}.
+			Compare(prefs.PairKey{Score: b.score, ObjSum: b.obj.Sum, FuncID: m.gps[b.fIdx].ID, ObjID: int(b.obj.ID)})
 	})
 	if !m.multiPair {
 		pairs = pairs[:1]

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"prefmatch/internal/index"
 	"prefmatch/internal/prefs"
@@ -64,7 +64,9 @@ type fnCache struct {
 }
 
 func newSB(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *stats.Counters) (*sbMatcher, error) {
-	return newSBOver(skyline.New(tree, opts.SkylineMode, c), fns, opts, c)
+	sky := skyline.New(tree, opts.SkylineMode, c)
+	sky.SetCancel(opts.Cancel)
+	return newSBOver(sky, fns, opts, c)
 }
 
 // newSBOver builds the SB loop over an explicit skyline source: the
@@ -191,10 +193,9 @@ func (m *sbMatcher) loop() error {
 	}
 	// Order by the global pair order; the first element is the pair the
 	// plain greedy process would emit now.
-	sort.Slice(pairs, func(i, j int) bool {
-		a := prefs.PairKey{Score: pairs[i].score, ObjSum: pairs[i].obj.Sum, FuncID: m.fns[pairs[i].fIdx].ID, ObjID: int(pairs[i].obj.ID)}
-		b := prefs.PairKey{Score: pairs[j].score, ObjSum: pairs[j].obj.Sum, FuncID: m.fns[pairs[j].fIdx].ID, ObjID: int(pairs[j].obj.ID)}
-		return a.Better(b)
+	slices.SortFunc(pairs, func(a, b matchedPair) int {
+		return prefs.PairKey{Score: a.score, ObjSum: a.obj.Sum, FuncID: m.fns[a.fIdx].ID, ObjID: int(a.obj.ID)}.
+			Compare(prefs.PairKey{Score: b.score, ObjSum: b.obj.Sum, FuncID: m.fns[b.fIdx].ID, ObjID: int(b.obj.ID)})
 	})
 	if !m.multiPair {
 		pairs = pairs[:1]

@@ -373,16 +373,19 @@ type waveSkyline struct {
 	workers int
 	c       *stats.Counters // merge-point work: dominance checks, global skyline size
 
-	maints     []*skyline.Maintainer
-	sinks      []*stats.Counters
-	global     []*skyline.Object
+	maints []*skyline.Maintainer
+	sinks  []*stats.Counters
+	global []*skyline.Object
+	// globalPts holds the global members' coordinates in global order,
+	// dim-strided, for the dominance scan.
+	globalPts  []float64
 	shardOf    map[index.ObjID]int // global member -> owning shard
 	suppressed []suppressedObj
 }
 
 var _ core.SkylineSource = (*waveSkyline)(nil)
 
-func newWaveSkyline(ix *Index, mode skyline.Mode, workers int, c *stats.Counters) *waveSkyline {
+func newWaveSkyline(ix *Index, mode skyline.Mode, workers int, tok cancel.Token, c *stats.Counters) *waveSkyline {
 	w := &waveSkyline{
 		ix:      ix,
 		workers: workers,
@@ -396,6 +399,7 @@ func newWaveSkyline(ix *Index, mode skyline.Mode, workers int, c *stats.Counters
 		w.sinks[s] = &stats.Counters{}
 		snap.SetCounters(w.sinks[s])
 		w.maints[s] = skyline.New(snap, mode, w.sinks[s])
+		w.maints[s].SetCancel(tok)
 	}
 	return w
 }
@@ -441,21 +445,23 @@ func (w *waveSkyline) admit(cands []shardObj, added *[]*skyline.Object) {
 		}
 		w.shardOf[cd.obj.ID] = cd.shard
 		w.global = append(w.global, cd.obj)
+		w.globalPts = append(w.globalPts, cd.obj.Point...)
 		if added != nil {
 			*added = append(*added, cd.obj)
 		}
 	}
 }
 
-// dominator returns the first global skyline member dominating p, or nil.
+// dominator returns the first global skyline member dominating p, or nil,
+// charging one dominance check per member tested.
 func (w *waveSkyline) dominator(p vec.Point) *skyline.Object {
-	for _, g := range w.global {
-		w.c.DominanceChecks++
-		if g.Point.Dominates(p) {
-			return g
-		}
+	i := vec.FirstDominator(w.globalPts, w.ix.dim, p)
+	if i < 0 {
+		w.c.DominanceChecks += int64(len(w.global))
+		return nil
 	}
-	return nil
+	w.c.DominanceChecks += int64(i + 1)
+	return w.global[i]
 }
 
 // Remove deletes matched global members, runs the affected shards'
@@ -491,13 +497,15 @@ func (w *waveSkyline) Remove(ids []index.ObjID) ([]*skyline.Object, error) {
 		return nil, err
 	}
 
-	kept := w.global[:0]
-	for _, g := range w.global {
+	d := w.ix.dim
+	kept, keptPts := w.global[:0], w.globalPts[:0]
+	for i, g := range w.global {
 		if !removedSet[g.ID] {
 			kept = append(kept, g)
+			keptPts = append(keptPts, w.globalPts[i*d:(i+1)*d]...)
 		}
 	}
-	w.global = kept
+	w.global, w.globalPts = kept, keptPts
 
 	var cands []shardObj
 	for i, s := range affected {
@@ -581,7 +589,7 @@ func (ix *Index) NewWaveMatcher(fns []prefs.Function, opts *core.Options, worker
 	var finish func(*stats.Counters)
 	switch o.Algorithm {
 	case core.AlgSB:
-		sky := newWaveSkyline(ix, o.SkylineMode, workers, o.Counters)
+		sky := newWaveSkyline(ix, o.SkylineMode, workers, o.Cancel, o.Counters)
 		src.Skyline, finish = sky, sky.finish
 	default:
 		// The candidate-driven algorithms; an unknown algorithm is rejected

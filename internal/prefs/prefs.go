@@ -216,3 +216,15 @@ func (a PairKey) Better(b PairKey) bool {
 	}
 	return a.ObjID < b.ObjID
 }
+
+// Compare is Better as a three-way comparison for slices.SortFunc: negative
+// when a precedes b, positive when b precedes a, zero for equal keys.
+func (a PairKey) Compare(b PairKey) int {
+	if a.Better(b) {
+		return -1
+	}
+	if b.Better(a) {
+		return 1
+	}
+	return 0
+}

@@ -16,12 +16,22 @@
 // the constrained traversal of [5] (pruning with the surviving skyline but
 // without plists). All modes produce identical skylines; they differ only in
 // I/O, which is exactly what the ablation benchmarks measure.
+//
+// Layout. Every dominance test asks whether some current member dominates
+// an entry's best point, so the Maintainer keeps its members' coordinates
+// in a dim-strided slab beside the member list, in the same order, and
+// answers each test with one vec.FirstDominator scan of that slab. Heap
+// elements and plist entries keep only what the traversal reads: the best
+// point (an object, or a node MBR's Hi corner), its heap key, and the
+// object ID or child page. The lower MBR corner is never read, so entries
+// do not carry it.
 package skyline
 
 import (
 	"fmt"
 	"math"
 
+	"prefmatch/internal/cancel"
 	"prefmatch/internal/index"
 	"prefmatch/internal/pagedfile"
 	"prefmatch/internal/pqueue"
@@ -74,35 +84,26 @@ type Object struct {
 func (o *Object) PlistLen() int { return len(o.plist) }
 
 // item is a BBS heap element or plist member: either an R-tree node entry or
-// an individual object.
+// an individual object. Dominance and the heap key read only an entry's
+// best point — the object itself, or a node MBR's Hi corner — so that is
+// all an item keeps (48 bytes on 64-bit platforms).
 type item struct {
-	dist  float64 // L1 distance of the entry's best point to the best corner
-	isObj bool
+	dist  float64          // L1 distance of best to the best corner
+	best  vec.Point        // the best point the entry can contain
 	id    index.ObjID      // objects
-	point vec.Point        // objects
 	page  pagedfile.PageID // nodes
-	rect  vec.Rect         // nodes
+	isObj bool
 }
 
-// hi returns the best point the item can contain.
-func (it *item) hi() vec.Point {
-	if it.isObj {
-		return it.point
-	}
-	return it.rect.Hi
-}
-
-// rootItem wraps the root page in an item with an unbounded MBR: it can
-// never be dominated and its -Inf key pops it first, so the true root MBR
-// does not need to be known before the first read.
+// rootItem wraps the root page in an item with an unbounded best corner: it
+// can never be dominated and its -Inf key pops it first, so the true root
+// MBR does not need to be known before the first read.
 func rootItem(page pagedfile.PageID, dim int) item {
-	lo := make(vec.Point, dim)
-	hi := make(vec.Point, dim)
-	for i := range hi {
-		lo[i] = math.Inf(-1)
-		hi[i] = math.Inf(1)
+	best := make(vec.Point, dim)
+	for i := range best {
+		best[i] = math.Inf(1)
 	}
-	return item{dist: math.Inf(-1), page: page, rect: vec.Rect{Lo: lo, Hi: hi}}
+	return item{dist: math.Inf(-1), best: best, page: page}
 }
 
 // less orders the BBS heap: ascending distance to the best corner; ties are
@@ -128,17 +129,27 @@ type Maintainer struct {
 	tree index.ObjectIndex
 	c    *stats.Counters
 	mode Mode
+	dim  int
+	tok  cancel.Token
 
-	sky      []*Object
+	sky []*Object
+	// pts holds the members' coordinates in sky order, dim-strided: member
+	// i is pts[i*dim:(i+1)*dim]. Every dominance test scans it.
+	pts      []float64
 	index    map[index.ObjID]int // object ID -> position in sky
 	excluded map[index.ObjID]bool
 	computed bool
 
 	// frontier is the reusable BBS heap scratch. Compute and every Remove
 	// mode run one traversal at a time, so a single queue serves all call
-	// sites; Reset keeps the backing array, so repeated waves over the same
-	// maintainer stop allocating heaps.
+	// sites; Reset keeps the backing array, so the Remove calls reuse the
+	// heap Compute grew. A maintainer serves one wave (Server.Match builds
+	// a new one per wave), so the heap is not reused across waves.
 	frontier pqueue.Queue[item]
+
+	// refDominator, when set, replaces the slab scan in dominator. Tests
+	// set it to the member-by-member Dominates loop the scan must match.
+	refDominator func(p vec.Point) *Object
 }
 
 // New creates a maintainer over t. A nil counters uses the tree's.
@@ -150,12 +161,18 @@ func New(t index.ObjectIndex, mode Mode, c *stats.Counters) *Maintainer {
 		tree:     t,
 		c:        c,
 		mode:     mode,
+		dim:      t.Dim(),
 		index:    map[index.ObjID]int{},
 		excluded: map[index.ObjID]bool{},
 	}
 	m.frontier.Init(less)
 	return m
 }
+
+// SetCancel arms tok on the maintainer: the traversal checks it after every
+// node read, in Compute and in every Remove mode, and stops with the
+// token's error once it has fired. The zero Token disarms it.
+func (m *Maintainer) SetCancel(tok cancel.Token) { m.tok = tok }
 
 // heap returns the maintainer's scratch queue, emptied and charging to the
 // maintainer's counters, ready for one BBS traversal.
@@ -178,11 +195,10 @@ func (m *Maintainer) Computed() bool { return m.computed }
 // Compute runs the initial BBS pass over the whole tree (Algorithm 1,
 // line 4) and records pruned entries into plists.
 func (m *Maintainer) Compute() error {
-	m.sky = m.sky[:0]
-	m.index = map[index.ObjID]int{}
+	m.reset()
 	h := m.heap()
 	if root := m.tree.RootPage(); root != pagedfile.InvalidPage {
-		h.Push(rootItem(root, m.tree.Dim()))
+		h.Push(rootItem(root, m.dim))
 	}
 	if err := m.run(h, m.mode != MaintainPlist, nil); err != nil {
 		return err
@@ -218,13 +234,14 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 	for _, id := range ids {
 		drop[id] = true
 	}
-	kept := m.sky[:0]
-	for _, s := range m.sky {
+	kept, keptPts := m.sky[:0], m.pts[:0]
+	for i, s := range m.sky {
 		if !drop[s.ID] {
 			kept = append(kept, s)
+			keptPts = append(keptPts, m.pts[i*m.dim:(i+1)*m.dim]...)
 		}
 	}
-	m.sky = kept
+	m.sky, m.pts = kept, keptPts
 	m.index = make(map[index.ObjID]int, len(m.sky))
 	for i, s := range m.sky {
 		m.index[s.ID] = i
@@ -239,7 +256,7 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		scand := m.heap()
 		for _, r := range removed {
 			for _, e := range r.plist {
-				if owner := m.dominator(e.hi()); owner != nil {
+				if owner := m.dominator(e.best); owner != nil {
 					owner.plist = append(owner.plist, e)
 				} else {
 					scand.Push(e)
@@ -255,7 +272,7 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		// with the surviving skyline, skip already-known members.
 		h := m.heap()
 		if root := m.tree.RootPage(); root != pagedfile.InvalidPage {
-			h.Push(rootItem(root, m.tree.Dim()))
+			h.Push(rootItem(root, m.dim))
 		}
 		known := make(map[index.ObjID]bool, len(m.sky))
 		for _, s := range m.sky {
@@ -271,11 +288,10 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		for _, s := range m.sky {
 			prev[s.ID] = true
 		}
-		m.sky = m.sky[:0]
-		m.index = map[index.ObjID]int{}
+		m.reset()
 		h := m.heap()
 		if root := m.tree.RootPage(); root != pagedfile.InvalidPage {
-			h.Push(rootItem(root, m.tree.Dim()))
+			h.Push(rootItem(root, m.dim))
 		}
 		if err := m.run(h, true, nil); err != nil {
 			return nil, err
@@ -313,20 +329,24 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 		if it.isObj && known != nil && known[it.id] {
 			continue
 		}
-		if owner := m.dominator(it.hi()); owner != nil {
+		if owner := m.dominator(it.best); owner != nil {
 			if !skipPlist {
 				owner.plist = append(owner.plist, it)
 			}
 			continue
 		}
 		if it.isObj {
-			s := &Object{ID: it.id, Point: it.point, Sum: it.point.Sum()}
+			s := &Object{ID: it.id, Point: it.best, Sum: it.best.Sum()}
 			m.index[s.ID] = len(m.sky)
 			m.sky = append(m.sky, s)
+			m.pts = append(m.pts, it.best...)
 			continue
 		}
 		n, err := m.tree.ReadNode(it.page)
 		if err != nil {
+			return err
+		}
+		if err := m.tok.Check("skyline.traverse"); err != nil {
 			return err
 		}
 		if m.expandFlat(n, h, skipPlist) {
@@ -339,12 +359,12 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 				if m.excluded[obj.ID] {
 					continue
 				}
-				child = item{dist: obj.Point.BestCornerDist(), isObj: true, id: obj.ID, point: obj.Point}
+				child = item{dist: obj.Point.BestCornerDist(), best: obj.Point, id: obj.ID, isObj: true}
 			} else {
 				r := n.Rect(i)
-				child = item{dist: r.BestCornerDist(), page: n.ChildPage(i), rect: r}
+				child = item{dist: r.BestCornerDist(), best: r.Hi, page: n.ChildPage(i)}
 			}
-			if owner := m.dominator(child.hi()); owner != nil {
+			if owner := m.dominator(child.best); owner != nil {
 				if !skipPlist {
 					owner.plist = append(owner.plist, child)
 				}
@@ -376,7 +396,7 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 				continue
 			}
 			p := vec.Point(pts[i*d : i*d+d : i*d+d])
-			child := item{dist: p.BestCornerDist(), isObj: true, id: id, point: p}
+			child := item{dist: p.BestCornerDist(), best: p, id: id, isObj: true}
 			if owner := m.dominator(p); owner != nil {
 				if !skipPlist {
 					owner.plist = append(owner.plist, child)
@@ -391,14 +411,10 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 	if !ok {
 		return false
 	}
-	lo, hi := fi.FlatRects()
+	_, hi := fi.FlatRects()
 	for i := 0; i < n.Len(); i++ {
 		hiP := vec.Point(hi[i*d : i*d+d : i*d+d])
-		child := item{
-			dist: hiP.BestCornerDist(),
-			page: n.ChildPage(i),
-			rect: vec.Rect{Lo: vec.Point(lo[i*d : i*d+d : i*d+d]), Hi: hiP},
-		}
+		child := item{dist: hiP.BestCornerDist(), best: hiP, page: n.ChildPage(i)}
 		if owner := m.dominator(hiP); owner != nil {
 			if !skipPlist {
 				owner.plist = append(owner.plist, child)
@@ -410,13 +426,23 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 	return true
 }
 
-// dominator returns the first current skyline object dominating p, or nil.
+// reset empties the skyline for a traversal from the root.
+func (m *Maintainer) reset() {
+	m.sky, m.pts = m.sky[:0], m.pts[:0]
+	m.index = map[index.ObjID]int{}
+}
+
+// dominator returns the first current skyline object dominating p, or nil,
+// charging one dominance check per member tested.
 func (m *Maintainer) dominator(p vec.Point) *Object {
-	for _, s := range m.sky {
-		m.c.DominanceChecks++
-		if s.Point.Dominates(p) {
-			return s
-		}
+	if m.refDominator != nil {
+		return m.refDominator(p)
 	}
-	return nil
+	i := vec.FirstDominator(m.pts, m.dim, p)
+	if i < 0 {
+		m.c.DominanceChecks += int64(len(m.sky))
+		return nil
+	}
+	m.c.DominanceChecks += int64(i + 1)
+	return m.sky[i]
 }

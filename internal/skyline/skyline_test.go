@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"prefmatch/internal/index"
+	"prefmatch/internal/index/mem"
 	"prefmatch/internal/index/paged"
 	"prefmatch/internal/stats"
 	"prefmatch/internal/vec"
@@ -260,7 +262,7 @@ func TestPlistOwnershipInvariant(t *testing.T) {
 		seenObjs := map[index.ObjID]string{}
 		for _, s := range m.Skyline() {
 			for _, e := range s.plist {
-				if !s.Point.Dominates(e.hi()) {
+				if !s.Point.Dominates(e.best) {
 					t.Fatalf("%s: owner %d does not dominate plist entry", context, s.ID)
 				}
 				if e.isObj {
@@ -439,6 +441,78 @@ func TestTop1OfMonotoneFunctionsOnSkyline(t *testing.T) {
 		}
 		if !member[items[best].ID] {
 			t.Fatalf("top-1 object %d of trial %d is not on the skyline", items[best].ID, trial)
+		}
+	}
+}
+
+// The slab scan must be the member-by-member Dominates loop it replaced:
+// over a plist-mode Compute and a sequence of removals it must keep the same
+// skyline in the same order, the same plist lengths and the same counters,
+// DominanceChecks included — on the generic expansion path (paged) and the
+// flat one (mem), with uniform and tie-heavy coordinates.
+func TestSlabScanMatchesReferenceLoop(t *testing.T) {
+	for _, tc := range []struct {
+		backend    string
+		n, d, grid int
+	}{
+		{"paged", 600, 3, 0}, {"mem", 600, 3, 0}, {"paged", 500, 3, 4}, {"mem", 500, 4, 3}, {"mem", 800, 2, 0},
+	} {
+		run := func(ref bool) []string {
+			rng := rand.New(rand.NewSource(11))
+			var tr index.ObjectIndex
+			tr, items, c := buildTree(t, rng, tc.n, tc.d, tc.grid)
+			if tc.backend == "mem" {
+				var err error
+				if tr, err = mem.Build(tc.d, items, &mem.Options{PageSize: 512, Counters: c}); err != nil {
+					t.Fatal(err)
+				}
+				c.Reset()
+			}
+			m := New(tr, MaintainPlist, c)
+			if ref {
+				m.refDominator = func(p vec.Point) *Object {
+					for _, s := range m.sky {
+						m.c.DominanceChecks++
+						if s.Point.Dominates(p) {
+							return s
+						}
+					}
+					return nil
+				}
+			}
+			var trace []string
+			record := func(step int) {
+				var b strings.Builder
+				for _, s := range m.Skyline() {
+					fmt.Fprintf(&b, "%d:%d ", s.ID, s.PlistLen())
+				}
+				trace = append(trace, fmt.Sprintf("step %d: %s| %+v", step, b.String(), *c))
+			}
+			if err := m.Compute(); err != nil {
+				t.Fatal(err)
+			}
+			record(0)
+			for step := 1; step <= 40 && m.Size() > 0; step++ {
+				k := min(1+rng.Intn(3), m.Size())
+				ids := make([]index.ObjID, 0, k)
+				for _, idx := range rng.Perm(m.Size())[:k] {
+					ids = append(ids, m.Skyline()[idx].ID)
+				}
+				if _, err := m.Remove(ids); err != nil {
+					t.Fatal(err)
+				}
+				record(step)
+			}
+			return trace
+		}
+		want, got := run(true), run(false)
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d steps with the slab scan, %d with the loop", tc, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: slab scan diverges from the loop\nslab: %s\nloop: %s", tc, got[i], want[i])
+			}
 		}
 	}
 }

@@ -5,11 +5,17 @@
 // per-node work becomes a small dense matrix product instead of Q separate
 // strided walks.
 //
-// Every kernel accumulates each (function, entry) pair in ascending
+// Every scoring kernel accumulates each (function, entry) pair in ascending
 // coordinate order, exactly like Dot / DotSum / prefs.Function.Score, so the
 // per-function results are bit-identical to the unbatched path (pinned by
 // TestDotBatchMatchesDot and the topk equivalence suite).
+//
+// FirstDominator, the skyline's dominance scan, walks the same kind of
+// dim-strided slab: the current skyline members' coordinates
+// (internal/skyline, and the sharded wave's global merge).
 package vec
+
+import "fmt"
 
 // DotBatch scores q weight rows against n = len(xs)/d dim-strided points:
 // out[f*n+i] = Dot(ws[f*d:(f+1)*d], xs[i*d:(i+1)*d]). ws holds the q rows
@@ -43,4 +49,38 @@ func DotBatch(ws []float64, q, d int, xs []float64, out []float64) {
 // as scoring — kept as a named entry point so call sites read as bounding.
 func MBRBoundsBatch(ws []float64, q, d int, hi []float64, out []float64) {
 	DotBatch(ws, q, d, hi, out)
+}
+
+// FirstDominator returns the index of the first of the n = len(pts)/d
+// dim-strided points in pts that dominates p, or -1 when none does.
+// Dominance is exactly Point.Dominates (at least as good everywhere,
+// strictly better somewhere), so over a slab holding points in some order
+// the result is the first dominator a point-by-point Dominates loop over
+// that order would return, after i+1 tests (n on a miss). It is the
+// skyline's dominance scan. p must have d coordinates; a mismatch panics,
+// as Dominates does.
+func FirstDominator(pts []float64, d int, p Point) int {
+	if len(p) != d {
+		panic(fmt.Sprintf("vec: dominance between dim %d and dim %d", d, len(p)))
+	}
+	n := len(pts) / d
+	for i := 0; i < n; i++ {
+		// Reslicing to len(p) lets the compiler drop the bounds check on
+		// every x[j] below.
+		x := pts[i*d : i*d+d : i*d+d][:len(p)]
+		strict := false
+		j := 0
+		for ; j < len(p); j++ {
+			if x[j] < p[j] {
+				break
+			}
+			if x[j] > p[j] {
+				strict = true
+			}
+		}
+		if j == len(p) && strict {
+			return i
+		}
+	}
+	return -1
 }

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -66,5 +67,68 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 		MBRBoundsBatch(ws, q, d, xs, out)
 	}); a != 0 {
 		t.Fatalf("batch kernels allocate %v per run", a)
+	}
+}
+
+// firstDominatorRef is the member-by-member loop FirstDominator replaces:
+// Dominates over each point in order, one check per point tested.
+func firstDominatorRef(sky []Point, p Point) (idx, checks int) {
+	for i, s := range sky {
+		checks++
+		if s.Dominates(p) {
+			return i, checks
+		}
+	}
+	return -1, checks
+}
+
+func TestFirstDominatorMatchesDominatesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	inf := math.Inf(1)
+	for _, d := range []int{1, 2, 3, 5} {
+		// grid 0 draws uniform coordinates; small grids make equal points
+		// and equal coordinates in some dimensions common.
+		for _, grid := range []int{0, 2, 3, 5} {
+			draw := func() Point {
+				p := make(Point, d)
+				for j := range p {
+					if grid == 0 {
+						p[j] = rng.Float64()
+					} else {
+						p[j] = float64(rng.Intn(grid)) / float64(grid-1)
+					}
+				}
+				return p
+			}
+			for trial := 0; trial < 200; trial++ {
+				sky := make([]Point, rng.Intn(12))
+				var pts []float64
+				for i := range sky {
+					sky[i] = draw()
+					pts = append(pts, sky[i]...)
+				}
+				probes := []Point{draw(), make(Point, d)}
+				if len(sky) > 0 {
+					probes = append(probes, sky[rng.Intn(len(sky))].Clone())
+				}
+				root := make(Point, d) // the BBS root entry's +Inf best corner
+				for j := range root {
+					root[j] = inf
+				}
+				probes = append(probes, root)
+				for _, p := range probes {
+					wantIdx, wantChecks := firstDominatorRef(sky, p)
+					got := FirstDominator(pts, d, p)
+					gotChecks := len(sky)
+					if got >= 0 {
+						gotChecks = got + 1
+					}
+					if got != wantIdx || gotChecks != wantChecks {
+						t.Fatalf("d=%d grid=%d sky=%v p=%v: FirstDominator = %d (%d checks), loop = %d (%d checks)",
+							d, grid, sky, p, got, gotChecks, wantIdx, wantChecks)
+					}
+				}
+			}
+		}
 	}
 }
