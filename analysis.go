@@ -66,7 +66,8 @@ func topkOver(tree index.ObjectIndex, qid int, p prefs.Preference, k int, tok ca
 }
 
 // checkLinear validates a linear query against dimensionality d without
-// building its function; it allocates only on error.
+// building its function — its weights first, then their count; it
+// allocates only on error.
 func checkLinear(query Query, d int) error {
 	if _, err := prefs.CheckWeights(query.Weights); err != nil {
 		return fmt.Errorf("prefmatch: query %d: %w", query.ID, err)
@@ -77,13 +78,64 @@ func checkLinear(query Query, d int) error {
 	return nil
 }
 
-// linearPref validates a linear query against dimensionality d and builds
-// its normalised function.
-func linearPref(query Query, d int) (prefs.Function, error) {
-	if err := checkLinear(query, d); err != nil {
-		return prefs.Function{}, err
+// checkK rejects a negative result depth.
+func checkK(k int) error {
+	if k < 0 {
+		return fmt.Errorf("prefmatch: negative k %d", k)
 	}
-	return prefs.NewFunction(query.ID, query.Weights)
+	return nil
+}
+
+// prefQuery is one single-query top-k request's preference as every entry
+// point hands it to the request path: a linear query by its raw weights
+// (validated, then normalised on the request path — into pooled scratch on
+// a Server, so Server.TopK boxes nothing), or a monotone preference behind
+// its adapter. err records why a preference could not be resolved at all;
+// check reports it like any other validation failure.
+type prefQuery struct {
+	id      int
+	weights []float64        // the linear query's weights; unused when mono is set
+	mono    prefs.Preference // the monotone adapter; nil for a linear query
+	err     error
+}
+
+// linearQuery and monotoneQuery are the typed entry points' conversions.
+func linearQuery(q Query) prefQuery { return prefQuery{id: q.ID, weights: q.Weights} }
+
+func monotoneQuery(q PreferenceQuery) prefQuery {
+	if q.Preference == nil {
+		return prefQuery{id: q.ID, err: fmt.Errorf("prefmatch: preference query %d is nil", q.ID)}
+	}
+	return prefQuery{id: q.ID, mono: prefAdapter{p: q.Preference}}
+}
+
+// check validates the request against dimensionality d and depth k, in the
+// one order every top-k entry point reports: the preference first — a
+// linear query in checkLinear's order — then k.
+func (q prefQuery) check(d, k int) error {
+	if q.err != nil {
+		return q.err
+	}
+	if q.mono == nil {
+		if err := checkLinear(Query{ID: q.id, Weights: q.weights}, d); err != nil {
+			return err
+		}
+	}
+	return checkK(k)
+}
+
+// preference returns a checked query's engine preference: the monotone
+// adapter as is, or the linear function normalised into sc's arena — or,
+// with a nil sc, into a fresh function.
+func (q prefQuery) preference(sc *serveScratch) prefs.Preference {
+	switch {
+	case q.mono != nil:
+		return q.mono
+	case sc != nil:
+		return sc.linear(Query{ID: q.id, Weights: q.weights})
+	}
+	f, _ := prefs.NewFunction(q.id, q.weights) // checked by the caller
+	return &f
 }
 
 // Skyline returns the IDs of the objects not dominated by any other object:
@@ -113,53 +165,37 @@ func Skyline(objects []Object, opts *Options) ([]int, error) {
 // branch-and-bound ranked search over a bulk-loaded R-tree. Fewer than k
 // results are returned when the object set is smaller.
 func TopK(objects []Object, query Query, k int, opts *Options) ([]Assignment, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("prefmatch: negative k %d", k)
-	}
-	if len(objects) == 0 || k == 0 {
-		return nil, nil
-	}
-	d, items, _, err := convertObjectSet(objects)
-	if err != nil {
-		return nil, err
-	}
-	f, err := linearPref(query, d)
-	if err != nil {
-		return nil, err
-	}
-	tree, c, err := buildIndex(items, d, opts)
-	if err != nil {
-		return nil, err
-	}
-	return topkOver(tree, query.ID, f, k, cancel.Token{}, c)
+	return topKFresh(objects, linearQuery(query), k, opts)
 }
 
 // TopKMonotone is TopK for an arbitrary monotone preference.
 func TopKMonotone(objects []Object, query PreferenceQuery, k int, opts *Options) ([]Assignment, error) {
+	return topKFresh(objects, monotoneQuery(query), k, opts)
+}
+
+// topKFresh answers q over a throwaway index bulk-loaded from objects,
+// validated like Server.TopK once the objects are: the query against their
+// dimensionality, then k. An empty object set has no dimensionality, so
+// only the weights themselves are checked.
+func topKFresh(objects []Object, q prefQuery, k int, opts *Options) ([]Assignment, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	if k < 0 {
-		return nil, fmt.Errorf("prefmatch: negative k %d", k)
-	}
-	if query.Preference == nil {
-		return nil, fmt.Errorf("prefmatch: preference query %d is nil", query.ID)
-	}
-	if len(objects) == 0 || k == 0 {
-		return nil, nil
+	if len(objects) == 0 {
+		return nil, q.check(len(q.weights), k)
 	}
 	d, items, _, err := convertObjectSet(objects)
 	if err != nil {
+		return nil, err
+	}
+	if err := q.check(d, k); err != nil || k == 0 {
 		return nil, err
 	}
 	tree, c, err := buildIndex(items, d, opts)
 	if err != nil {
 		return nil, err
 	}
-	return topkOver(tree, query.ID, prefAdapter{p: query.Preference}, k, cancel.Token{}, c)
+	return topkOver(tree, q.id, q.preference(nil), k, cancel.Token{}, c)
 }
 
 // Dominates reports whether object a dominates object b: at least as good

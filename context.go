@@ -21,8 +21,13 @@ import (
 // "topk.traverse", "wave.next", "skyline.compute", "write.apply",
 // "request.return").
 //
-// The non-context methods are exactly these with a context that never
-// fires; a context.Background() ctx costs nothing on the hot path.
+// Each pair — plain and *Context — ends in one unexported request function,
+// so the non-context methods are exactly these with a context that never
+// fires; a context.Background() ctx costs nothing on the hot path. Every
+// single-query top-k method (TopK, TopKMonotone, TopKPref) shares one
+// request path, topKOne, and both batched forms (TopKMany, TopKManyAppend)
+// share one validation pass and one chunk walker, so the same query gets
+// the same answer, or the same error, from each of them.
 
 // MatchContext is Match honouring ctx.
 func (s *Server) MatchContext(ctx context.Context, queries []Query, opts *Options) (*Result, error) {
@@ -37,12 +42,12 @@ func (s *Server) MatchManyContext(ctx context.Context, waves [][]Query, opts *Op
 
 // TopKContext is TopK honouring ctx.
 func (s *Server) TopKContext(ctx context.Context, query Query, k int) ([]Assignment, error) {
-	return s.topKReq(cancel.FromContext(ctx), query, k)
+	return s.topKOne(cancel.FromContext(ctx), linearQuery(query), k)
 }
 
 // TopKMonotoneContext is TopKMonotone honouring ctx.
 func (s *Server) TopKMonotoneContext(ctx context.Context, query PreferenceQuery, k int) ([]Assignment, error) {
-	return s.topKMonotone(cancel.FromContext(ctx), query, k)
+	return s.topKOne(cancel.FromContext(ctx), monotoneQuery(query), k)
 }
 
 // TopKManyContext is TopKMany honouring ctx: one cancellation covers the

@@ -704,32 +704,31 @@ func serve[T any](s *Server, op serverOp, tok cancel.Token, validate time.Durati
 // across all CPUs' worth of per-shard snapshot workers. Safe for concurrent
 // use.
 func (s *Server) TopK(query Query, k int) ([]Assignment, error) {
-	return s.topKReq(cancel.Token{}, query, k)
+	return s.topKOne(cancel.Token{}, linearQuery(query), k)
 }
 
-// topKReq is TopK behind the admission gate.
-func (s *Server) topKReq(tok cancel.Token, query Query, k int) (_ []Assignment, err error) {
+// TopKMonotone is TopK for an arbitrary monotone preference.
+func (s *Server) TopKMonotone(query PreferenceQuery, k int) ([]Assignment, error) {
+	return s.topKOne(cancel.Token{}, monotoneQuery(query), k)
+}
+
+// topKOne is the one single-query top-k request path, behind TopK,
+// TopKMonotone, TopKPref and their *Context twins: admission, validation
+// (before the k == 0 short-circuit, so k never changes what is accepted),
+// then either a k-bounded walk of the pooled snapshot (serve) or, on a
+// sharded server, ranked search fanned across all CPUs' worth of per-shard
+// snapshot workers and merged through the score-ordered heap with
+// whole-shard MBR pruning — bit-identical to the unsharded walk. The
+// sharded fan-out merges its per-shard counters into one request sink and
+// records it like any other request.
+func (s *Server) topKOne(tok cancel.Token, q prefQuery, k int) (_ []Assignment, err error) {
 	if err := s.admit(tok); err != nil {
 		return nil, err
 	}
 	defer s.exitRequest()
-	defer s.finishReq(opTopK, query.ID, &err)
-	return s.topK(tok, query, k, 0)
-}
-
-// topK implements TopK with an explicit shard-worker budget: 0 lets a lone
-// request fan out across GOMAXPROCS shard workers, while TopKMany passes 1
-// so the outer per-query fan-out owns the parallelism and requests do not
-// multiply into workers × shards goroutines. The query is validated before
-// the k == 0 short-circuit, so k never changes what is accepted. The caller
-// has already passed the admission gate.
-func (s *Server) topK(tok cancel.Token, query Query, k, shardWorkers int) ([]Assignment, error) {
+	defer s.finishReq(opTopK, q.id, &err)
 	vstart := time.Now()
-	if k < 0 {
-		s.om.fail(opTopK)
-		return nil, fmt.Errorf("prefmatch: negative k %d", k)
-	}
-	if err := checkLinear(query, s.ix.Dim()); err != nil {
+	if err := q.check(s.ix.Dim(), k); err != nil {
 		s.om.fail(opTopK)
 		return nil, err
 	}
@@ -737,26 +736,15 @@ func (s *Server) topK(tok cancel.Token, query Query, k, shardWorkers int) ([]Ass
 	if k == 0 {
 		return nil, nil
 	}
-	if s.sh != nil {
-		f, _ := prefs.NewFunction(query.ID, query.Weights) // validated above
-		return s.topKSharded(tok, query.ID, &f, k, shardWorkers, validate)
+	if s.sh == nil {
+		return serve(s, opTopK, tok, validate, func(sc *serveScratch) ([]Assignment, error) {
+			return topkOver(sc.snap, q.id, q.preference(sc), k, tok, &sc.c)
+		})
 	}
-	return serve(s, opTopK, tok, validate, func(sc *serveScratch) ([]Assignment, error) {
-		return topkOver(sc.snap, query.ID, sc.linear(query), k, tok, &sc.c)
-	})
-}
-
-// topKSharded answers one top-k request on a sharded index by fanning ranked
-// search across shardWorkers per-shard snapshot workers and merging through
-// the score-ordered heap, with whole-shard MBR pruning. The per-shard
-// counters are merged into one request sink and recorded into the server
-// totals, exactly like any other request. Results are bit-identical to the
-// unsharded path.
-func (s *Server) topKSharded(tok cancel.Token, qid int, p prefs.Preference, k, shardWorkers int, validate time.Duration) ([]Assignment, error) {
 	var tr reqTrace
 	tr.begin(validate)
 	c := &stats.Counters{}
-	results, err := s.sh.SearchTopKCancel(p, k, shardWorkers, tok, c)
+	results, err := s.sh.SearchTopKCancel(q.preference(nil), k, 0, tok, c)
 	err = handBack(tok, err)
 	tr.mark(stageTraverse)
 	if err != nil {
@@ -766,43 +754,15 @@ func (s *Server) topKSharded(tok cancel.Token, qid int, p prefs.Preference, k, s
 	s.record(c, tr.stages[stageTraverse])
 	tr.mark(stageMerge)
 	s.om.finish(opTopK, &tr, c, 1)
-	out := make([]Assignment, len(results))
-	for i, r := range results {
-		out[i] = Assignment{QueryID: qid, ObjectID: int(r.ID), Score: r.Score}
-	}
-	return out, nil
+	return appendRanking(make([]Assignment, 0, len(results)), q.id, results), nil
 }
 
-// TopKMonotone is TopK for an arbitrary monotone preference.
-func (s *Server) TopKMonotone(query PreferenceQuery, k int) ([]Assignment, error) {
-	return s.topKMonotone(cancel.Token{}, query, k)
-}
-
-func (s *Server) topKMonotone(tok cancel.Token, query PreferenceQuery, k int) (_ []Assignment, err error) {
-	if err := s.admit(tok); err != nil {
-		return nil, err
+// appendRanking appends one query's ranked results to dst, labelled qid.
+func appendRanking(dst []Assignment, qid int, rs []topk.Result) []Assignment {
+	for _, r := range rs {
+		dst = append(dst, Assignment{QueryID: qid, ObjectID: int(r.ID), Score: r.Score})
 	}
-	defer s.exitRequest()
-	defer s.finishReq(opTopK, query.ID, &err)
-	vstart := time.Now()
-	if k < 0 {
-		s.om.fail(opTopK)
-		return nil, fmt.Errorf("prefmatch: negative k %d", k)
-	}
-	if query.Preference == nil {
-		s.om.fail(opTopK)
-		return nil, fmt.Errorf("prefmatch: preference query %d is nil", query.ID)
-	}
-	validate := time.Since(vstart)
-	if k == 0 {
-		return nil, nil
-	}
-	if s.sh != nil {
-		return s.topKSharded(tok, query.ID, prefAdapter{p: query.Preference}, k, 0, validate)
-	}
-	return serve(s, opTopK, tok, validate, func(sc *serveScratch) ([]Assignment, error) {
-		return topkOver(sc.snap, query.ID, prefAdapter{p: query.Preference}, k, tok, &sc.c)
-	})
+	return dst
 }
 
 // batchChunk is how many queries a batched TopKMany request hands one
@@ -814,11 +774,13 @@ const batchChunk = 64
 // TopKMany answers independent top-k queries in query order, one result
 // slice per query. The workload of the paper's serving framing: many users,
 // one object set, every user wants their personal ranking — so instead of
-// one ranked descent per query, queries are validated up front, grouped
-// into chunks of at most batchChunk, and each chunk walks the tree once
-// through a shared-traversal batch searcher (topk.BatchSearcher; on a
-// sharded server, sharded.SearchTopKBatch per shard). Results are
-// bit-identical to per-query TopK calls.
+// one ranked descent per query, queries are validated up front (the first
+// invalid query, or a negative k, fails the whole batch), grouped into
+// chunks of at most batchChunk, and each chunk walks the tree once through
+// a shared-traversal batch searcher (topk.BatchSearcher; on a sharded
+// server, sharded.SearchTopKBatch per shard). Results are bit-identical to
+// per-query TopK calls; each chunk's results share one backing array, with
+// every query's slice capped at its own length.
 //
 // Chunks are spread across workers goroutines (0 or negative means
 // GOMAXPROCS). On a sharded server, workers is the total parallelism
@@ -835,32 +797,12 @@ func (s *Server) topKMany(tok cancel.Token, queries []Query, k, workers int) (_ 
 	}
 	defer s.exitRequest()
 	defer s.finishReq(opTopKMany, firstQID(queries), &err)
-	vstart := time.Now()
+	sc, err := s.batchScratch(queries, k)
+	if err != nil {
+		return nil, err
+	}
+	defer s.releaseScratch(sc)
 	results := make([][]Assignment, len(queries))
-	fns := make([]prefs.Preference, len(queries))
-	errs := make([]error, len(queries))
-	invalid := false
-	for i, q := range queries {
-		if k < 0 {
-			errs[i] = fmt.Errorf("prefmatch: negative k %d", k)
-			invalid = true
-			continue
-		}
-		f, err := linearPref(q, s.ix.Dim())
-		if err != nil {
-			errs[i] = err
-			invalid = true
-			continue
-		}
-		fns[i] = f
-	}
-	if invalid {
-		s.om.fail(opTopKMany)
-		return nil, errors.Join(errs...)
-	}
-	// Chunks trace themselves concurrently; the call-level validation pass
-	// is observed into the stage histogram here, once.
-	s.om.stages[stageValidate].ObserveDuration(time.Since(vstart))
 	if k == 0 {
 		return results, nil
 	}
@@ -875,15 +817,24 @@ func (s *Server) topKMany(tok cancel.Token, queries []Query, k, workers int) (_ 
 			shardWorkers = budget / outer
 		}
 	}
+	perQuery := min(k, s.ix.Len()) // sizes each chunk's buffer; growth is still safe
 	cerrs := make([]error, chunks)
 	fanOut(chunks, budget, func(ci int) {
 		cerrs[ci] = guard.Safe(func() error {
 			lo := ci * batchChunk
-			hi := lo + batchChunk
-			if hi > len(queries) {
-				hi = len(queries)
+			hi := min(lo+batchChunk, len(queries))
+			buf, offs, err := s.topKChunkAppend(tok, nil, make([]Assignment, 0, (hi-lo)*perQuery), make([]int, 0, hi-lo+1),
+				queries[lo:hi], sc.fns[lo:hi], k, shardWorkers)
+			if err != nil {
+				return err
 			}
-			return s.topKChunk(tok, queries[lo:hi], fns[lo:hi], results[lo:hi], k, shardWorkers)
+			// 3-index slices: appending to one query's result reallocates
+			// instead of overwriting its neighbour's.
+			offs = append(offs, len(buf))
+			for i := range results[lo:hi] {
+				results[lo+i] = buf[offs[i]:offs[i+1]:offs[i+1]]
+			}
+			return nil
 		})
 	})
 	if err := errors.Join(cerrs...); err != nil {
@@ -892,75 +843,16 @@ func (s *Server) topKMany(tok cancel.Token, queries []Query, k, workers int) (_ 
 	return results, nil
 }
 
-// topKChunk answers one chunk of pre-validated queries with a single shared
-// traversal, writing each query's assignments into results[i]. On a sharded
-// server the chunk fans across shards batched (each surviving shard walked
-// once for the whole chunk); otherwise it runs a pooled batch searcher over
-// the pooled snapshot.
-func (s *Server) topKChunk(tok cancel.Token, queries []Query, fns []prefs.Preference, results [][]Assignment, k, shardWorkers int) error {
-	var tr reqTrace
-	if s.sh != nil {
-		tr.begin(0)
-		c := &stats.Counters{}
-		res, err := s.sh.SearchTopKBatchCancel(fns, k, shardWorkers, tok, c)
-		err = handBack(tok, err)
-		tr.mark(stageTraverse)
-		if err != nil {
-			s.om.fail(opTopKMany)
-			return err
-		}
-		for i, rs := range res {
-			out := make([]Assignment, len(rs))
-			for j, r := range rs {
-				out[j] = Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score}
-			}
-			results[i] = out
-		}
-		s.recordN(c, tr.stages[stageTraverse], len(queries))
-		tr.mark(stageMerge)
-		s.om.finish(opTopKMany, &tr, c, len(queries))
-		return nil
-	}
-	tr.begin(0)
-	sc := s.acquireScratch()
-	tr.mark(stagePin)
-	defer s.releaseScratch(sc)
-	sc.ks = sc.ks[:0]
-	for range fns {
-		sc.ks = append(sc.ks, k)
-	}
-	b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, &sc.c)
-	defer b.Release()
-	b.SetCancel(tok)
-	if err := handBack(tok, b.Run()); err != nil {
-		s.om.fail(opTopKMany)
-		return err
-	}
-	for i := range fns {
-		sc.rbuf = b.AppendResults(i, sc.rbuf[:0])
-		out := make([]Assignment, len(sc.rbuf))
-		for j, r := range sc.rbuf {
-			out[j] = Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score}
-		}
-		results[i] = out
-	}
-	tr.mark(stageTraverse)
-	s.recordN(&sc.c, tr.stages[stageTraverse], len(queries))
-	tr.mark(stageMerge)
-	s.om.finish(opTopKMany, &tr, &sc.c, len(queries))
-	return nil
-}
-
 // TopKManyAppend is the allocation-free form of TopKMany for callers that
 // recycle their result buffers: all assignments are appended flat to dst,
 // and offsets is appended one entry per query plus a final boundary, so
 // query i's ranking is dst[offsets[base+i]:offsets[base+i+1]] (base being
 // len(offsets) on entry). The whole batch — at most batchChunk queries at a
-// time — shares traversals exactly like TopKMany; query weights are
-// normalised into a pooled arena (prefs.AppendFunction) instead of fresh
-// slices, so a steady-state call over the memory backend performs zero
-// allocations once dst and offsets have grown to capacity. The batch runs
-// on the calling goroutine.
+// time — shares traversals exactly like TopKMany, and is validated exactly
+// like it; query weights are normalised into a pooled arena
+// (prefs.AppendFunction) instead of fresh slices, so a steady-state call
+// over the memory backend performs zero allocations once dst and offsets
+// have grown to capacity. The batch runs on the calling goroutine.
 func (s *Server) TopKManyAppend(dst []Assignment, offsets []int, queries []Query, k int) ([]Assignment, []int, error) {
 	return s.topKManyAppend(cancel.Token{}, dst, offsets, queries, k)
 }
@@ -975,108 +867,117 @@ func (s *Server) topKManyAppend(tok cancel.Token, dst []Assignment, offsets []in
 	}
 	defer s.exitRequest()
 	defer s.finishReq(opTopKMany, firstQID(queries), &err)
-	vstart := time.Now()
-	if k < 0 {
-		s.om.fail(opTopKMany)
-		return dst, offsets, fmt.Errorf("prefmatch: negative k %d", k)
+	sc, err := s.batchScratch(queries, k)
+	if err != nil {
+		return dst, offsets, err
 	}
-	sc := s.acquireScratch()
 	defer s.releaseScratch(sc)
-	d := s.ix.Dim()
-	for _, q := range queries {
-		if len(q.Weights) != d {
-			s.om.fail(opTopKMany)
-			return dst, offsets, fmt.Errorf("prefmatch: query %d has %d weights, want %d", q.ID, len(q.Weights), d)
+	if k == 0 {
+		for range queries {
+			offsets = append(offsets, len(dst))
 		}
-		f, arena, err := prefs.AppendFunction(sc.arena, q.ID, q.Weights)
-		if err != nil {
-			s.om.fail(opTopKMany)
-			return dst, offsets, fmt.Errorf("prefmatch: query %d: %w", q.ID, err)
-		}
-		sc.arena = arena
-		sc.fnvals = append(sc.fnvals, f)
 	}
-	// Chunks trace themselves; the call-level validation and function
-	// building pass is observed into the stage histogram here, once.
-	s.om.stages[stageValidate].ObserveDuration(time.Since(vstart))
+	for lo := 0; k > 0 && lo < len(queries); lo += batchChunk {
+		hi := min(lo+batchChunk, len(queries))
+		dst, offsets, err = s.topKChunkAppend(tok, sc, dst, offsets, queries[lo:hi], sc.fns[lo:hi], k, 1)
+		if err != nil {
+			return dst, offsets, err
+		}
+	}
+	return dst, append(offsets, len(dst)), nil
+}
+
+// batchScratch is the one validation pass of a batched top-k request: every
+// query in checkLinear's order, each normalised into a pooled scratch's
+// arena as it passes, then k; the first failure is the request's error. On
+// success the caller owns the scratch — its fns hold the batch's functions
+// boxed by pointer — and releases it once the batch is answered.
+func (s *Server) batchScratch(queries []Query, k int) (*serveScratch, error) {
+	vstart := time.Now()
+	sc := s.acquireScratch()
+	d := s.ix.Dim()
+	var err error
+	for _, q := range queries {
+		if err = checkLinear(q, d); err != nil {
+			break
+		}
+		sc.linear(q)
+	}
+	if err == nil {
+		err = checkK(k)
+	}
+	if err != nil {
+		s.releaseScratch(sc)
+		s.om.fail(opTopKMany)
+		return nil, err
+	}
 	// Box pointers, not values: *Function rides in the interface word, so a
 	// warm scratch builds the whole batch without a single allocation. Taken
 	// only after fnvals stops growing — appends may move the backing array.
 	for i := range sc.fnvals {
 		sc.fns = append(sc.fns, &sc.fnvals[i])
 	}
-	if k == 0 {
-		for range queries {
-			offsets = append(offsets, len(dst))
-		}
-		offsets = append(offsets, len(dst))
-		return dst, offsets, nil
-	}
-	for lo := 0; lo < len(queries); lo += batchChunk {
-		hi := lo + batchChunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		dst, offsets, err = s.topKChunkAppend(tok, dst, offsets, queries[lo:hi], sc.fns[lo:hi], k, sc)
-		if err != nil {
-			return dst, offsets, err
-		}
-	}
-	offsets = append(offsets, len(dst))
-	return dst, offsets, nil
+	// Chunks trace themselves; the call-level validation pass is observed
+	// into the stage histogram here, once.
+	s.om.stages[stageValidate].ObserveDuration(time.Since(vstart))
+	return sc, nil
 }
 
-// topKChunkAppend is topKChunk in append form, emitting boundaries instead
-// of per-query slices. It reuses the caller's scratch for everything but
-// the sharded fan-out (which allocates its merge state per call).
-func (s *Server) topKChunkAppend(tok cancel.Token, dst []Assignment, offsets []int, queries []Query, fns []prefs.Preference, k int, sc *serveScratch) ([]Assignment, []int, error) {
+// topKChunkAppend answers one chunk of validated queries with a single
+// shared traversal, appending each query's start to offsets and its ranking
+// to dst (the caller appends the final boundary). On a sharded server the
+// chunk fans across shards batched, each surviving shard walked once for
+// the whole chunk by up to shardWorkers workers; otherwise a pooled batch
+// searcher walks sc's snapshot — or, with a nil sc, a snapshot pinned for
+// this chunk alone.
+func (s *Server) topKChunkAppend(tok cancel.Token, sc *serveScratch, dst []Assignment, offsets []int, queries []Query, fns []prefs.Preference, k, shardWorkers int) ([]Assignment, []int, error) {
 	var tr reqTrace
 	tr.begin(0)
+	var c *stats.Counters
+	var err error
 	if s.sh != nil {
-		c := &stats.Counters{}
-		res, err := s.sh.SearchTopKBatchCancel(fns, k, 1, tok, c)
-		err = handBack(tok, err)
-		tr.mark(stageTraverse)
-		if err != nil {
-			s.om.fail(opTopKMany)
-			return dst, offsets, err
-		}
-		for i, rs := range res {
-			offsets = append(offsets, len(dst))
-			for _, r := range rs {
-				dst = append(dst, Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score})
+		c = &stats.Counters{}
+		var res [][]topk.Result
+		res, err = s.sh.SearchTopKBatchCancel(fns, k, shardWorkers, tok, c)
+		if err = handBack(tok, err); err == nil {
+			for i, rs := range res {
+				offsets = append(offsets, len(dst))
+				dst = appendRanking(dst, queries[i].ID, rs)
 			}
 		}
-		s.recordN(c, tr.stages[stageTraverse], len(queries))
-		tr.mark(stageMerge)
-		s.om.finish(opTopKMany, &tr, c, len(queries))
-		return dst, offsets, nil
-	}
-	sc.ks = sc.ks[:0]
-	for range fns {
-		sc.ks = append(sc.ks, k)
-	}
-	b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, &sc.c)
-	defer b.Release()
-	b.SetCancel(tok)
-	if err := handBack(tok, b.Run()); err != nil {
-		s.om.fail(opTopKMany)
-		return dst, offsets, err
-	}
-	for i := range fns {
-		sc.rbuf = b.AppendResults(i, sc.rbuf[:0])
-		offsets = append(offsets, len(dst))
-		for _, r := range sc.rbuf {
-			dst = append(dst, Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score})
+	} else {
+		if sc == nil {
+			sc = s.acquireScratch()
+			defer s.releaseScratch(sc)
+			tr.mark(stagePin)
+		}
+		c = &sc.c
+		sc.ks = sc.ks[:0]
+		for range fns {
+			sc.ks = append(sc.ks, k)
+		}
+		b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, c)
+		defer b.Release()
+		b.SetCancel(tok)
+		if err = handBack(tok, b.Run()); err == nil {
+			for i := range fns {
+				sc.rbuf = b.AppendResults(i, sc.rbuf[:0])
+				offsets = append(offsets, len(dst))
+				dst = appendRanking(dst, queries[i].ID, sc.rbuf)
+			}
 		}
 	}
 	tr.mark(stageTraverse)
-	s.recordN(&sc.c, tr.stages[stageTraverse], len(queries))
+	if err != nil {
+		s.om.fail(opTopKMany)
+		return dst, offsets, err
+	}
+	s.recordN(c, tr.stages[stageTraverse], len(queries))
 	tr.mark(stageMerge)
-	s.om.finish(opTopKMany, &tr, &sc.c, len(queries))
-	// The scratch is shared by every chunk of this call; zero its sink so
+	s.om.finish(opTopKMany, &tr, c, len(queries))
+	// A caller's scratch serves every chunk of its batch: zero the sink so
 	// the next chunk's recordN does not re-add this chunk's work.
-	sc.c = stats.Counters{}
+	*c = stats.Counters{}
 	return dst, offsets, nil
 }
 
@@ -1103,7 +1004,7 @@ func (s *Server) skyline(tok cancel.Token) (_ []int, err error) {
 // place this package interprets worker counts — MatchMany, TopKMany and
 // fanOut all route through it and must not re-derive the rule.
 // (sharded.SearchTopK applies the same rule to its own shard-level
-// workers; the two budgets never nest, see topK.)
+// workers; the two budgets never nest, see TopKMany.)
 func clampWorkers(workers, jobs int) int {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

@@ -3,7 +3,6 @@ package prefmatch
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -78,7 +77,12 @@ const reqSlack = 1e-9
 // request: the extra ranks are the re-qualification headroom (see the file
 // comment). Linear in k so the rescoring work stays proportional to the
 // request.
-func sessionFetch(k int) int { return 2*k + 8 }
+func sessionFetch(k int) int {
+	if k > (math.MaxInt-8)/2 {
+		return math.MaxInt // saturate: 2k+8 would wrap
+	}
+	return 2*k + 8
+}
 
 // Session is one user's standing preference against a Server: open it once,
 // revise the weights with Nudge as the user's taste drifts, and call TopK
@@ -139,38 +143,15 @@ type Session struct {
 // with a ranked walk, labelled with the PreferenceQuery's ID (0 for a bare
 // Preference). Sessions hold no snapshot and cost nothing while idle.
 func (s *Server) OpenSession(p Preference) (*Session, error) {
-	sess := &Session{srv: s}
-	switch q := p.(type) {
-	case Query:
-		if err := sess.initLinear(s, q); err != nil {
-			return nil, err
-		}
-	case *Query:
-		if q == nil {
-			return nil, errNilPreference
-		}
-		if err := sess.initLinear(s, *q); err != nil {
-			return nil, err
-		}
-	case PreferenceQuery:
-		if q.Preference == nil {
-			return nil, fmt.Errorf("prefmatch: preference query %d is nil", q.ID)
-		}
-		sess.qid = q.ID
-		sess.pref = prefAdapter{p: q.Preference}
-	case *PreferenceQuery:
-		if q == nil {
-			return nil, errNilPreference
-		}
-		if q.Preference == nil {
-			return nil, fmt.Errorf("prefmatch: preference query %d is nil", q.ID)
-		}
-		sess.qid = q.ID
-		sess.pref = prefAdapter{p: q.Preference}
-	case nil:
-		return nil, errNilPreference
-	default:
-		sess.pref = prefAdapter{p: p}
+	q := resolvePref(p)
+	// k = 0: a session's depth arrives with each TopK.
+	if err := q.check(s.ix.Dim(), 0); err != nil {
+		return nil, err
+	}
+	sess := &Session{srv: s, qid: q.id, isLinear: q.mono == nil, pref: q.mono}
+	if sess.isLinear {
+		sess.fn, _ = prefs.NewFunction(q.id, q.weights) // checked above
+		sess.warena = sess.fn.Weights
 	}
 	// Register under sessMu with the lifecycle state re-checked inside the
 	// lock: Close flips the state before sweeping the registry, so a racing
@@ -183,18 +164,6 @@ func (s *Server) OpenSession(p Preference) (*Session, error) {
 	s.sessions[sess] = struct{}{}
 	s.sessMu.Unlock()
 	return sess, nil
-}
-
-func (sess *Session) initLinear(s *Server, q Query) error {
-	f, err := linearPref(q, s.ix.Dim())
-	if err != nil {
-		return err
-	}
-	sess.isLinear = true
-	sess.qid = q.ID
-	sess.warena = append(sess.warena[:0], f.Weights...)
-	sess.fn = prefs.Function{ID: q.ID, Weights: sess.warena}
-	return nil
 }
 
 // Nudge revises a linear session's weights in place: the same validation
@@ -211,18 +180,12 @@ func (sess *Session) Nudge(weights []float64) error {
 	if !sess.isLinear {
 		return errors.New("prefmatch: Nudge requires a linear session (opened with a Query)")
 	}
-	d := sess.srv.ix.Dim()
-	if len(weights) != d {
-		return fmt.Errorf("prefmatch: query %d has %d weights, want %d", sess.qid, len(weights), d)
-	}
-	// AppendFunction validates before writing, so a bad nudge leaves the
+	// Validated before anything is written, so a bad nudge leaves the
 	// current weights untouched.
-	f, arena, err := prefs.AppendFunction(sess.warena[:0], sess.qid, weights)
-	if err != nil {
-		return fmt.Errorf("prefmatch: query %d: %w", sess.qid, err)
+	if err := checkLinear(Query{ID: sess.qid, Weights: weights}, sess.srv.ix.Dim()); err != nil {
+		return err
 	}
-	sess.warena = arena
-	sess.fn = f
+	sess.fn, sess.warena, _ = prefs.AppendFunction(sess.warena[:0], sess.qid, weights) // checked above
 	return nil
 }
 
@@ -279,9 +242,9 @@ func (sess *Session) topKAppend(tok cancel.Token, dst []Assignment, k int) (_ []
 	defer s.exitRequest()
 	defer s.finishReq(opSessionTopK, sess.qid, &err)
 	vstart := time.Now()
-	if k < 0 {
+	if err := checkK(k); err != nil {
 		s.om.fail(opSessionTopK)
-		return dst, fmt.Errorf("prefmatch: negative k %d", k)
+		return dst, err
 	}
 	if k == 0 {
 		return dst, nil
@@ -678,37 +641,40 @@ func weightsEqual(a, b []float64) bool {
 // served exactly like Server.TopK — weights validated and normalised — and
 // a PreferenceQuery (or *PreferenceQuery) exactly like Server.TopKMonotone.
 // Any other Preference runs as an anonymous monotone query with ID 0.
-// TopK and TopKMonotone remain the concretely-typed forms of the same
-// requests; equivalence tests pin that the three entry points agree
-// bit-for-bit.
+// TopK and TopKMonotone are the concretely-typed forms of the same
+// request: all three end in one request path, so they agree bit-for-bit,
+// errors included.
 func (s *Server) TopKPref(p Preference, k int) ([]Assignment, error) {
-	return s.topKPref(cancel.Token{}, p, k)
+	return s.topKOne(cancel.Token{}, resolvePref(p), k)
 }
 
 // TopKPrefContext is TopKPref honouring ctx.
 func (s *Server) TopKPrefContext(ctx context.Context, p Preference, k int) ([]Assignment, error) {
-	return s.topKPref(cancel.FromContext(ctx), p, k)
+	return s.topKOne(cancel.FromContext(ctx), resolvePref(p), k)
 }
 
-func (s *Server) topKPref(tok cancel.Token, p Preference, k int) ([]Assignment, error) {
+// resolvePref is the one place a Preference is resolved into its query
+// family, shared by TopKPref and OpenSession: a Query (or *Query) is
+// linear, a PreferenceQuery (or *PreferenceQuery) monotone under its own
+// ID, and any other Preference an anonymous monotone query with ID 0. nil
+// and typed-nil pointers resolve to errNilPreference.
+func resolvePref(p Preference) prefQuery {
 	switch q := p.(type) {
 	case Query:
-		return s.topKReq(tok, q, k)
+		return linearQuery(q)
 	case *Query:
-		if q == nil {
-			return nil, errNilPreference
+		if q != nil {
+			return linearQuery(*q)
 		}
-		return s.topKReq(tok, *q, k)
 	case PreferenceQuery:
-		return s.topKMonotone(tok, q, k)
+		return monotoneQuery(q)
 	case *PreferenceQuery:
-		if q == nil {
-			return nil, errNilPreference
+		if q != nil {
+			return monotoneQuery(*q)
 		}
-		return s.topKMonotone(tok, *q, k)
 	case nil:
-		return nil, errNilPreference
 	default:
-		return s.topKMonotone(tok, PreferenceQuery{ID: 0, Preference: p}, k)
+		return monotoneQuery(PreferenceQuery{Preference: p})
 	}
+	return prefQuery{err: errNilPreference}
 }
